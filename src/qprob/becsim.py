@@ -15,18 +15,29 @@ Mode populations are (1 -+ s)/2.  Averaging them over a noisy ensemble gives
 p_n(t); the same dynamics with the noise switched off gives the classical
 curve f_n(t); their difference is the interference factor q_n(t).
 
-Paths are integrated with the stochastic Heun scheme (the noise enters
-additively, so the Ito and Stratonovich readings agree) and are keyed by
-(seed, path index) through a counter-based generator, which makes every
-ensemble bit-reproducible no matter how paths are scheduled.  Ensemble sums
-are accumulated over fixed-size path chunks combined in chunk order, so a
-worker pool of any size produces identical output.
+The noiseless motion alone is integrated in Cartesian Bloch coordinates
+u = sqrt(1-s^2) cos(x), v = sqrt(1-s^2) sin(x), where the flow
+
+    du/dt = -s v,   dv/dt = s (u + b),   ds/dt = -b v
+
+is polynomial (the bosonic Josephson model of Smerzi, Fantoni, Giovanazzi
+and Shenoy, PRL 79, 4950 (1997)) and has no pole at |s| = 1.
+
+Noisy paths are integrated in (s, x) with the stochastic Heun scheme (the
+noise enters additively, so the Ito and Stratonovich readings agree) and
+are keyed by (seed, path index) through a counter-based generator, which
+makes every ensemble bit-reproducible no matter how paths are scheduled.
+Ensemble sums are accumulated over fixed-size path chunks combined in chunk
+order, so a worker pool of any size produces identical output.  The
+noiseless reference curve is one more lane of the first chunk, run on the
+same scheme with its noise held at zero.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,8 +47,9 @@ import numpy as np
 #: floating-point summation order.
 CHUNK_PATHS = 1024
 
-#: Noise/time block length used inside the path kernel.
-_NOISE_BLOCK = 8192
+#: Steps per noise block inside the path kernel; a block holds one row of
+#: increments per step.
+_NOISE_BLOCK = 1024
 
 #: |s| at or beyond this aborts a path: the square root becomes singular.
 _S_ABORT = 1.0 - 1e-9
@@ -47,7 +59,12 @@ _S_CLAMP = 1.0 - 1e-12
 
 
 class StepRejected(RuntimeError):
-    """A path drove |s| into the singular band around 1."""
+    """A noisy path or the noiseless reference lane drove |s| into the
+    singular band around 1, or the noiseless state became non-finite.
+
+    ``path_index`` names the noisy path, and is None for the noiseless
+    curve.
+    """
 
     def __init__(self, message: str, path_index: int | None = None):
         super().__init__(message)
@@ -82,6 +99,10 @@ class BecParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("b", "sigma", "s0", "x0", "dt", "t_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not abs(self.s0) < 1.0:
             raise ValueError(f"initial imbalance must satisfy |s0| < 1, got {self.s0!r}")
         if not self.dt > 0.0:
@@ -138,6 +159,8 @@ def critical_amplitude(s0: float, x0: float, tol: float = 1e-12) -> float:
     Equals s0^2 / (2 * (1 + sqrt(1 - s0^2) * cos(x0))); ranges over [0, 1/2]
     for x0 = 0 as |s0| sweeps [0, 1].
     """
+    if not (math.isfinite(s0) and math.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got s0={s0!r}, x0={x0!r}")
     if abs(s0) > 1.0:
         raise ValueError(f"initial imbalance must satisfy |s0| <= 1, got {s0!r}")
     denominator = 2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - s0 * s0)) * math.cos(x0))
@@ -150,6 +173,8 @@ def critical_amplitude(s0: float, x0: float, tol: float = 1e-12) -> float:
 
 def regime_classify(b: float, s0: float, x0: float, tol: float = 1e-9) -> Regime:
     """Which side of the critical amplitude the pumping lies on."""
+    if not math.isfinite(b):
+        raise ValueError(f"pumping amplitude must be finite, got {b!r}")
     bc = critical_amplitude(s0, x0)
     if b < bc - tol:
         return Regime.RABI
@@ -166,34 +191,44 @@ def hamiltonian(s: float, x: float, b: float) -> float:
 def integrate_deterministic(params: BecParams) -> Trajectory:
     """Classical fourth-order Runge-Kutta solution of the noiseless system.
 
-    The noise strength in ``params`` is ignored.  A step that would carry
-    |s| into the singular band aborts with :class:`StepRejected`.
+    Steps the polynomial Bloch flow in (u, v, s), so no step evaluates a
+    trigonometric function or a square root and nothing is singular at
+    |s| = 1.  The phase x is accumulated from each step's rotation of
+    (u, v) and so is continuous, not wrapped.  The noise strength in
+    ``params`` is ignored.  A state that turns non-finite (only possible
+    for a step far too coarse for the dynamics) raises
+    :class:`StepRejected`.
     """
     n = params.n_steps
     b = params.b
     dt = params.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
     s_out = np.empty(n + 1)
     x_out = np.empty(n + 1)
     s, x = params.s0, params.x0
     s_out[0], x_out[0] = s, x
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    clamp = _S_CLAMP
-
-    def deriv(si: float, xi: float) -> tuple[float, float]:
-        sc = min(clamp, max(-clamp, si))
-        root = sqrt(1.0 - sc * sc)
-        return -b * root * sin(xi), si * (1.0 + b * cos(xi) / root)
-
+    r = math.sqrt(1.0 - s * s)
+    u, v = r * math.cos(x), r * math.sin(x)
+    atan2 = math.atan2
     for k in range(1, n + 1):
-        d1s, d1x = deriv(s, x)
-        d2s, d2x = deriv(s + 0.5 * dt * d1s, x + 0.5 * dt * d1x)
-        d3s, d3x = deriv(s + 0.5 * dt * d2s, x + 0.5 * dt * d2x)
-        d4s, d4x = deriv(s + dt * d3s, x + dt * d3x)
-        s += dt * (d1s + 2.0 * d2s + 2.0 * d3s + d4s) / 6.0
-        x += dt * (d1x + 2.0 * d2x + 2.0 * d3x + d4x) / 6.0
-        if abs(s) >= _S_ABORT:
-            raise StepRejected(f"|s| reached {s!r} at t={k * dt!r}")
-        s_out[k], x_out[k] = s, x
+        k1u, k1v, k1s = -s * v, s * (u + b), -b * v
+        u2, v2, s2 = u + half * k1u, v + half * k1v, s + half * k1s
+        k2u, k2v, k2s = -s2 * v2, s2 * (u2 + b), -b * v2
+        u3, v3, s3 = u + half * k2u, v + half * k2v, s + half * k2s
+        k3u, k3v, k3s = -s3 * v3, s3 * (u3 + b), -b * v3
+        u4, v4, s4 = u + dt * k3u, v + dt * k3v, s + dt * k3s
+        u_new = u + sixth * (k1u + 2.0 * (k2u + k3u) - s4 * v4)
+        v_new = v + sixth * (k1v + 2.0 * (k2v + k3v) + s4 * (u4 + b))
+        s += sixth * (k1s + 2.0 * (k2s + k3s) - b * v4)
+        x += atan2(u * v_new - v * u_new, u * u_new + v * v_new)
+        u, v = u_new, v_new
+        s_out[k] = s
+        x_out[k] = x
+    finite = np.isfinite(s_out) & np.isfinite(x_out)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise StepRejected(f"noiseless state became non-finite at t={float(k * dt)!r}")
     return Trajectory(times=params.times(), s=s_out, x=x_out)
 
 
@@ -207,119 +242,149 @@ def path_noise_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _heun_paths(params: BecParams, path_lo: int, path_hi: int, record: bool):
+def _heun_paths(params: BecParams, path_lo: int, path_hi: int, reference: bool = False):
     """Stochastic Heun integration of the path range [path_lo, path_hi).
 
     The same Wiener increment enters predictor and corrector; with additive
-    noise this is strong first order.  Returns per-step path sums of s and
-    s^2 when ``record`` is false, else the full (s, x) histories (meant for
-    narrow ranges only).
+    noise this is strong first order.  With ``reference`` one more lane
+    runs after the paths with its noise held at zero: the noiseless curve
+    on exactly the scheme of the noisy paths.  Every lane's arithmetic is
+    independent of the others', so a path gives the same bits in any range.
+    Returns the per-step sums of s and s^2 over the noisy lanes and the
+    (s, x) history of the last lane.
     """
     n = params.n_steps
     width = path_hi - path_lo
-    b, sigma, dt = params.b, params.sigma, params.dt
-    sig_sqdt = sigma * math.sqrt(dt)
-    s = np.full(width, params.s0)
-    x = np.full(width, params.x0)
-    if record:
-        s_hist = np.empty((width, n + 1))
-        x_hist = np.empty((width, n + 1))
-        s_hist[:, 0] = s
-        x_hist[:, 0] = x
-    else:
-        sum_s = np.empty(n + 1)
-        sum_s2 = np.empty(n + 1)
-        sum_s[0] = s.sum()
-        sum_s2[0] = np.dot(s, s)
+    lanes = width + reference
+    sig_sqdt = params.sigma * math.sqrt(params.dt)
+    # Per-step cost at narrow widths is call overhead, which Python-float
+    # operands and the out= keyword raise; so constants enter as one-element
+    # arrays and outputs positionally (np.maximum/np.minimum take out= only).
+    neg_b, pos_b, one, lo, hi, dt, half_dt = (
+        np.array([v]) for v in
+        (-params.b, params.b, 1.0, -_S_CLAMP, _S_CLAMP, params.dt, 0.5 * params.dt)
+    )
+    mul, add = np.multiply, np.add
+    s = np.full(lanes, params.s0)
+    x = np.full(lanes, params.x0)
+    sp, xp, d1s, d1x, d2s, d2x, root, tmp = np.empty((8, lanes))
+    noisy = s[:width]
+    sum_s = np.zeros(n + 1)
+    sum_s2 = np.zeros(n + 1)
+    s_last = np.empty(n + 1)
+    x_last = np.empty(n + 1)
+    sum_s[0] = noisy.sum()
+    sum_s2[0] = np.dot(noisy, noisy)
+    s_last[0], x_last[0] = s[-1], x[-1]
+
+    def drift(s_in, x_in, ds, dx):
+        # -b * root * sin(x) and s * (1 + b * cos(x) / root), operation for
+        # operation as written, so the bits match the plain-operator form;
+        # maximum/minimum clamp like np.clip at a fraction of its call cost
+        np.maximum(s_in, lo, out=root)
+        np.minimum(root, hi, out=root)
+        mul(root, root, root)
+        np.subtract(one, root, root)
+        np.sqrt(root, root)
+        mul(root, neg_b, ds)
+        np.sin(x_in, tmp)
+        mul(ds, tmp, ds)
+        np.cos(x_in, tmp)
+        mul(tmp, pos_b, tmp)
+        np.divide(tmp, root, tmp)
+        add(tmp, one, tmp)
+        mul(s_in, tmp, dx)
+
     generators = None
-    if sigma > 0.0:
+    if params.sigma > 0.0:
         generators = [path_noise_generator(params.seed, i) for i in range(path_lo, path_hi)]
-    noise = np.zeros((width, _NOISE_BLOCK))
+    # one row of increments per step; the reference lane's column stays 0
+    noise = np.zeros((min(_NOISE_BLOCK, n), lanes))
     k = 0
     while k < n:
         block = min(_NOISE_BLOCK, n - k)
         if generators is not None:
             for i, gen in enumerate(generators):
-                noise[i, :block] = gen.standard_normal(block)
-        for j in range(block):
-            dw = sig_sqdt * noise[:, j]
-            sc = np.clip(s, -_S_CLAMP, _S_CLAMP)
-            root = np.sqrt(1.0 - sc * sc)
-            d1s = -b * root * np.sin(x)
-            d1x = s * (1.0 + b * np.cos(x) / root)
-            sp = s + dt * d1s
-            xp = x + dt * d1x + dw
-            sc = np.clip(sp, -_S_CLAMP, _S_CLAMP)
-            root = np.sqrt(1.0 - sc * sc)
-            d2s = -b * root * np.sin(xp)
-            d2x = sp * (1.0 + b * np.cos(xp) / root)
-            s = s + 0.5 * dt * (d1s + d2s)
-            x = x + 0.5 * dt * (d1x + d2x) + dw
+                noise[:block, i] = gen.standard_normal(block)
+            noise[:block] *= sig_sqdt
+        for dw in noise[:block]:
+            drift(s, x, d1s, d1x)
+            mul(d1s, dt, sp)
+            add(s, sp, sp)
+            mul(d1x, dt, xp)
+            add(x, xp, xp)
+            add(xp, dw, xp)
+            drift(sp, xp, d2s, d2x)
+            add(d1s, d2s, d1s)
+            mul(d1s, half_dt, d1s)
+            add(s, d1s, s)
+            add(d1x, d2x, d1x)
+            mul(d1x, half_dt, d1x)
+            add(x, d1x, x)
+            add(x, dw, x)
             k += 1
-            worst = int(np.argmax(np.abs(s)))
-            if abs(s[worst]) >= _S_ABORT:
+            np.abs(s, tmp)
+            worst = int(tmp.argmax())
+            if tmp[worst] >= _S_ABORT:
+                where = ("the noiseless reference path" if worst == width
+                         else f"path {path_lo + worst}")
                 raise StepRejected(
-                    f"|s| reached {s[worst]!r} at t={k * dt!r} on path {path_lo + worst}",
-                    path_index=path_lo + worst,
+                    f"|s| reached {float(s[worst])!r} at t={float(k * params.dt)!r} on {where}",
+                    path_index=None if worst == width else path_lo + worst,
                 )
-            if record:
-                s_hist[:, k] = s
-                x_hist[:, k] = x
-            else:
-                sum_s[k] = s.sum()
-                sum_s2[k] = np.dot(s, s)
-    if record:
-        return s_hist, x_hist
-    return sum_s, sum_s2
+            if width:
+                sum_s[k] = noisy.sum()
+                sum_s2[k] = np.dot(noisy, noisy)
+            s_last[k] = s[-1]
+            x_last[k] = x[-1]
+    return sum_s, sum_s2, s_last, x_last
 
 
 def integrate_sde(params: BecParams, path_index: int) -> Trajectory:
     """One stochastic path, bit-reproducible for a fixed (seed, path index)."""
     if path_index < 0:
         raise ValueError(f"path index must be nonnegative, got {path_index}")
-    s_hist, x_hist = _heun_paths(params, path_index, path_index + 1, record=True)
-    return Trajectory(times=params.times(), s=s_hist[0], x=x_hist[0])
-
-
-def _chunk_sums(args: tuple[BecParams, int, int]):
-    params, lo, hi = args
-    return _heun_paths(params, lo, hi, record=False)
+    _, _, s, x = _heun_paths(params, path_index, path_index + 1)
+    return Trajectory(times=params.times(), s=s, x=x)
 
 
 def ensemble_interference(params: BecParams, workers: int = 1) -> EnsembleResult:
     """Ensemble-averaged populations and interference factors.
 
     p_n(t) averages the per-path populations; f_n(t) is the same scheme run
-    without noise, so the interference factor vanishes identically when
-    sigma is zero (all paths then coincide with the noiseless curve, which
-    is used directly instead of summing N identical copies).  Chunk sums are
-    combined in fixed order, making the output independent of ``workers``.
+    without noise, as one extra lane of the first chunk, so the
+    interference factor vanishes identically when sigma is zero (all paths
+    then coincide with the noiseless curve, so only that lane runs and is
+    used directly instead of summing N identical copies).  Chunk sums are
+    combined in fixed order, making the output independent of ``workers``;
+    the pool never has more processes than chunks or usable CPUs.
     """
     if params.n_paths < 2:
         raise ValueError(f"ensemble needs at least two paths, got {params.n_paths}")
     n = params.n_paths
-    quiet = BecParams(
-        b=params.b, sigma=0.0, s0=params.s0, x0=params.x0,
-        dt=params.dt, t_max=params.t_max, n_paths=1, seed=params.seed,
-    )
-    s_det = _heun_paths(quiet, 0, 1, record=True)[0][0]
+    if params.sigma == 0.0:
+        chunks = [(params, 0, 0, True)]
+    else:
+        chunks = [
+            (params, lo, min(lo + CHUNK_PATHS, n), lo == 0)
+            for lo in range(0, n, CHUNK_PATHS)
+        ]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(workers, len(chunks), cpus)
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
+            partials = pool.starmap(_heun_paths, chunks)
+    else:
+        partials = [_heun_paths(*chunk) for chunk in chunks]
+    s_det = partials[0][2]
 
     if params.sigma == 0.0:
         mean_s = s_det
         variance = np.zeros(params.n_steps + 1)
     else:
-        chunks = [
-            (params, lo, min(lo + CHUNK_PATHS, n))
-            for lo in range(0, n, CHUNK_PATHS)
-        ]
-        if workers > 1 and len(chunks) > 1:
-            with multiprocessing.Pool(min(workers, len(chunks))) as pool:
-                partials = pool.map(_chunk_sums, chunks)
-        else:
-            partials = [_chunk_sums(chunk) for chunk in chunks]
         sum_s = np.zeros(params.n_steps + 1)
         sum_s2 = np.zeros(params.n_steps + 1)
-        for part_s, part_s2 in partials:
+        for part_s, part_s2, _, _ in partials:
             sum_s += part_s
             sum_s2 += part_s2
         mean_s = sum_s / n

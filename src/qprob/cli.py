@@ -101,7 +101,10 @@ def _format_float(x: float) -> str:
 
 
 def _write_json_report(path: str | None, report: dict[str, Any]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"report holds a non-finite value: {exc}") from exc
     if path is None:
         sys.stdout.write(text)
     else:

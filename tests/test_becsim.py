@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from qprob import becsim
 from qprob.becsim import (
     BecParams,
     DenominatorVanishes,
@@ -20,6 +22,30 @@ from qprob.becsim import (
 
 def energy_series(traj, b):
     return 0.5 * traj.s**2 - b * np.sqrt(1.0 - traj.s**2) * np.cos(traj.x)
+
+
+def polar_rk4(params):
+    """Oracle: classical RK4 stepped directly in (s, x), clamped off the pole."""
+    b, dt, clamp = params.b, params.dt, 1.0 - 1e-12
+    s_out = np.empty(params.n_steps + 1)
+    x_out = np.empty(params.n_steps + 1)
+    s, x = params.s0, params.x0
+    s_out[0], x_out[0] = s, x
+
+    def deriv(si, xi):
+        sc = min(clamp, max(-clamp, si))
+        root = math.sqrt(1.0 - sc * sc)
+        return -b * root * math.sin(xi), si * (1.0 + b * math.cos(xi) / root)
+
+    for k in range(1, params.n_steps + 1):
+        d1s, d1x = deriv(s, x)
+        d2s, d2x = deriv(s + 0.5 * dt * d1s, x + 0.5 * dt * d1x)
+        d3s, d3x = deriv(s + 0.5 * dt * d2s, x + 0.5 * dt * d2x)
+        d4s, d4x = deriv(s + dt * d3s, x + dt * d3x)
+        s += dt * (d1s + 2.0 * d2s + 2.0 * d3s + d4s) / 6.0
+        x += dt * (d1x + 2.0 * d2x + 2.0 * d3x + d4x) / 6.0
+        s_out[k], x_out[k] = s, x
+    return s_out, x_out
 
 
 def test_energy_is_conserved_symbolically():
@@ -46,6 +72,14 @@ class TestParams:
             BecParams(b=-0.1, sigma=0.0, s0=0.5, x0=0.0)
         with pytest.raises(ValueError, match="noise"):
             BecParams(b=0.1, sigma=-0.1, s0=0.5, x0=0.0)
+
+    @pytest.mark.parametrize("name", ["b", "sigma", "s0", "x0", "dt", "t_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        fields = dict(b=0.1, sigma=0.1, s0=0.5, x0=0.0, dt=1e-3, t_max=1.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BecParams(**fields)
 
     def test_step_grid(self):
         params = BecParams(b=0.1, sigma=0.0, s0=0.5, x0=0.0, dt=1e-3, t_max=2.0)
@@ -74,6 +108,11 @@ class TestCriticalAmplitude:
         with pytest.raises(DenominatorVanishes):
             critical_amplitude(0.0, math.pi)
 
+    def test_rejects_non_finite_state(self):
+        for s0, x0 in ((math.nan, 0.0), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                critical_amplitude(s0, x0)
+
 
 class TestRegimeClassify:
     def test_subcritical_is_rabi(self):
@@ -85,6 +124,11 @@ class TestRegimeClassify:
     def test_exact_critical(self):
         bc = critical_amplitude(-0.9, 0.0)
         assert regime_classify(bc, -0.9, 0.0) is Regime.CRITICAL
+
+    def test_non_finite_is_not_critical(self):
+        for b, s0 in ((math.nan, -0.9), (math.inf, -0.9), (0.25, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                regime_classify(b, s0, 0.0)
 
 
 class TestDeterministic:
@@ -120,10 +164,30 @@ class TestDeterministic:
         order = math.log2(err_coarse / err_fine)
         assert 3.5 < order < 4.5
 
-    def test_step_rejected_near_singularity(self):
+    def test_start_next_to_pole_completes(self):
+        # the Bloch form has no pole: the start that aborted polar RK4 runs through
         params = BecParams(b=1.0, sigma=0.0, s0=1.0 - 1e-10, x0=-math.pi / 2, dt=1e-3, t_max=1.0)
-        with pytest.raises(StepRejected):
+        traj = integrate_deterministic(params)
+        assert np.all(np.isfinite(traj.s)) and np.all(np.isfinite(traj.x))
+        assert np.max(np.abs(traj.s)) <= 1.0
+        h = energy_series(traj, params.b)
+        assert np.max(np.abs(h - h[0])) < 1e-9
+
+    @pytest.mark.parametrize("b", [0.25, 0.5])
+    def test_matches_polar_rk4(self, b):
+        params = BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0)
+        traj = integrate_deterministic(params)
+        s_ref, x_ref = polar_rk4(params)
+        assert np.max(np.abs(traj.s - s_ref)) < 1e-9
+        assert np.max(np.abs(traj.x - x_ref)) < 1e-9
+
+    def test_non_finite_state_is_rejected(self):
+        # a step this coarse for pumping this strong overflows the state
+        params = BecParams(b=1e300, sigma=0.0, s0=0.5, x0=0.3, dt=1.0, t_max=10.0)
+        with pytest.raises(StepRejected, match="non-finite") as excinfo:
             integrate_deterministic(params)
+        assert excinfo.value.path_index is None
+        assert "np.float64" not in str(excinfo.value)
 
     def test_zero_crossing_dichotomy(self):
         sub = integrate_deterministic(
@@ -222,10 +286,50 @@ class TestEnsemble:
 
     def test_single_path_matches_ensemble_member(self):
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=3, seed=8)
-        # an ensemble of clones of path 1: feed the same key through n_paths=2
         lone = integrate_sde(params, 1)
         assert lone.s.shape == (params.n_steps + 1,)
         assert abs(lone.s[0] - params.s0) == 0.0
+        # the ensemble mean of s is the mean of the single paths it is built from
+        mean_s = np.mean([integrate_sde(params, i).s for i in range(params.n_paths)], axis=0)
+        result = ensemble_interference(params)
+        assert np.max(np.abs(mean_s - (1.0 - 2.0 * result.p1))) < 1e-14
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reference_curve_is_the_zero_noise_path(self, workers):
+        # 1500 paths span two chunks; f(t) must be the scheme of p(t) with the noise off
+        params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=1500, seed=11)
+        quiet = BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=1, seed=11)
+        result = ensemble_interference(params, workers=workers)
+        assert np.array_equal(result.f1, 0.5 * (1.0 - integrate_sde(quiet, 0).s))
+
+    def test_pool_is_capped_at_usable_cpus(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            # runs the chunks in this process: no worker is ever started
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, func, items):
+                return [func(*item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(becsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        params = BecParams(
+            b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.002,
+            n_paths=3 * 1024 + 1, seed=3,
+        )
+        pooled = ensemble_interference(params, workers=1000)
+        assert requested == [2]
+        serial = ensemble_interference(params, workers=1)
+        assert requested == [2]
+        assert np.array_equal(pooled.p1, serial.p1)
 
     def test_needs_two_paths(self):
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, n_paths=1)
@@ -239,3 +343,17 @@ class TestEnsemble:
         with pytest.raises(StepRejected) as excinfo:
             integrate_sde(params, 2)
         assert excinfo.value.path_index == 2
+
+    def test_step_rejected_messages_name_the_lane_in_plain_floats(self):
+        params = BecParams(
+            b=1.0, sigma=0.0, s0=1.0 - 1e-10, x0=-math.pi / 2, dt=1e-3, t_max=1.0, n_paths=4
+        )
+        with pytest.raises(StepRejected) as noisy:
+            integrate_sde(params, 2)
+        with pytest.raises(StepRejected) as reference:
+            ensemble_interference(params)
+        assert "path 2" in str(noisy.value)
+        assert reference.value.path_index is None
+        assert "noiseless reference" in str(reference.value)
+        for excinfo in (noisy, reference):
+            assert "np.float64" not in str(excinfo.value)

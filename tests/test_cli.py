@@ -209,6 +209,23 @@ class TestBecSim:
         code, _, err = run(["bec-sim", "--b", "-1", "--tmax", "1", "--paths", "4"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--b", "nan"), ("--sigma", "inf"), ("--x0", "nan")])
+    def test_non_finite_params_fail_validation(self, capsys, tmp_path, flag, value):
+        out_path = tmp_path / "run.csv"
+        code, out, err = run(
+            ["bec-sim", flag, value, "--tmax", "1", "--paths", "4", "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert "must be finite" in err
+        assert not out_path.exists()
+        assert out == ""
+
+    def test_report_refuses_non_finite_values(self, tmp_path):
+        report_path = tmp_path / "run.json"
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            cli._write_json_report(str(report_path), {"result": {"max_abs_q1": math.nan}})
+        assert not report_path.exists()
+
     def test_singular_path_exits_numerical(self, capsys):
         # start just below the pole, pushed upward: the path aborts
         code, _, err = run(
