@@ -15,22 +15,22 @@ Mode populations are (1 -+ s)/2.  Averaging them over a noisy ensemble gives
 p_n(t); the same dynamics with the noise switched off gives the classical
 curve f_n(t); their difference is the interference factor q_n(t).
 
-The noiseless motion alone is integrated in Cartesian Bloch coordinates
-u = sqrt(1-s^2) cos(x), v = sqrt(1-s^2) sin(x), where the flow
+Everything is integrated in Cartesian Bloch coordinates
+u = sqrt(1-s^2) cos(x), v = sqrt(1-s^2) sin(x), where the noiseless flow
 
     du/dt = -s v,   dv/dt = s (u + b),   ds/dt = -b v
 
 is polynomial (the bosonic Josephson model of Smerzi, Fantoni, Giovanazzi
-and Shenoy, PRL 79, 4950 (1997)) and has no pole at |s| = 1.
+and Shenoy, PRL 79, 4950 (1997)) and has no pole at |s| = 1, and where the
+phase noise is an exact rotation of (u, v) by sigma dW.  A noisy step
+applies that rotation and then one classical RK4 step of the flow, the
+same RK4 step that integrates the noiseless curve.
 
-Noisy paths are integrated in (s, x) with the stochastic Heun scheme (the
-noise enters additively, so the Ito and Stratonovich readings agree) and
-are keyed by (seed, path index) through a counter-based generator, which
-makes every ensemble bit-reproducible no matter how paths are scheduled.
-Ensemble sums are accumulated over fixed-size path chunks combined in chunk
-order, so a worker pool of any size produces identical output.  The
-noiseless reference curve is one more lane of the first chunk, run on the
-same scheme with its noise held at zero.
+Noisy paths are keyed by (seed, path index) through a counter-based
+generator, which makes every ensemble bit-reproducible no matter how paths
+are scheduled.  Each fixed-size path chunk yields its per-step mean and
+centred sum of squares; the chunks are merged in chunk order, so a worker
+pool of any size produces identical output.
 """
 
 from __future__ import annotations
@@ -48,27 +48,16 @@ import numpy as np
 CHUNK_PATHS = 1024
 
 #: Steps per noise block inside the path kernel; a block holds one row of
-#: increments per step.
-_NOISE_BLOCK = 1024
+#: cosines and one row of sines of the noise angles per step.
+_NOISE_BLOCK = 512
 
-#: |s| at or beyond this aborts a path: the square root becomes singular.
-_S_ABORT = 1.0 - 1e-9
-
-#: |s| is clamped to this inside square-root evaluation only.
-_S_CLAMP = 1.0 - 1e-12
+#: The scheme of every noisy path, as named in reports.
+KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
 
 
 class StepRejected(RuntimeError):
-    """A noisy path or the noiseless reference lane drove |s| into the
-    singular band around 1, or the noiseless state became non-finite.
-
-    ``path_index`` names the noisy path, and is None for the noiseless
-    curve.
-    """
-
-    def __init__(self, message: str, path_index: int | None = None):
-        super().__init__(message)
-        self.path_index = path_index
+    """The state of a path turned non-finite: the step is far too coarse
+    for the dynamics."""
 
 
 class DenominatorVanishes(ValueError):
@@ -139,7 +128,8 @@ class EnsembleResult:
 
     By construction p1 + p2 = 1 and f1 + f2 = 1 hold exactly and
     q_n = p_n - f_n entrywise; std_err1 is the standard error of p1 across
-    paths.
+    paths.  max_norm_drift is the largest |u^2 + v^2 + s^2 - 1| of any path
+    at the end of any noise block (0 when sigma is 0 and no path runs).
     """
 
     times: np.ndarray
@@ -151,6 +141,7 @@ class EnsembleResult:
     q2: np.ndarray
     n_paths: int
     std_err1: np.ndarray
+    max_norm_drift: float = 0.0
 
 
 def critical_amplitude(s0: float, x0: float, tol: float = 1e-12) -> float:
@@ -225,11 +216,15 @@ def integrate_deterministic(params: BecParams) -> Trajectory:
         u, v = u_new, v_new
         s_out[k] = s
         x_out[k] = x
-    finite = np.isfinite(s_out) & np.isfinite(x_out)
+    _require_finite(dt, s_out, x_out)
+    return Trajectory(times=params.times(), s=s_out, x=x_out)
+
+
+def _require_finite(dt: float, *series: np.ndarray | None) -> None:
+    finite = np.logical_and.reduce([np.isfinite(a) for a in series if a is not None])
     if not finite.all():
         k = int(np.argmin(finite))
-        raise StepRejected(f"noiseless state became non-finite at t={float(k * dt)!r}")
-    return Trajectory(times=params.times(), s=s_out, x=x_out)
+        raise StepRejected(f"state became non-finite at t={float(k * dt)!r}")
 
 
 def path_noise_generator(seed: int, path_index: int) -> np.random.Generator:
@@ -242,153 +237,159 @@ def path_noise_generator(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _heun_paths(params: BecParams, path_lo: int, path_hi: int, reference: bool = False):
-    """Stochastic Heun integration of the path range [path_lo, path_hi).
+def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = False):
+    """Integrate the noisy paths [path_lo, path_hi) side by side, one lane each.
 
-    The same Wiener increment enters predictor and corrector; with additive
-    noise this is strong first order.  With ``reference`` one more lane
-    runs after the paths with its noise held at zero: the noiseless curve
-    on exactly the scheme of the noisy paths.  Every lane's arithmetic is
-    independent of the others', so a path gives the same bits in any range.
-    Returns the per-step sums of s and s^2 over the noisy lanes and the
-    (s, x) history of the last lane.
+    Each step is a Lie splitting: first the exact solution of dx = sigma dW,
+    a rotation of (u, v) by the step's noise angle; then one classical RK4
+    step of the Bloch drift, in the operation order of
+    :func:`integrate_deterministic`, so a lane without noise reproduces it
+    bit for bit.  Lanes never mix, so a path gives the same bits in any
+    range.  Returns the per-step mean and centred sum of squares of s over
+    the lanes, the largest norm drift |u^2 + v^2 + s^2 - 1| at the end of
+    any noise block, and, with ``phase``, the continuous phase of the first
+    lane (else None).  A state that turns non-finite raises
+    :class:`StepRejected`.
     """
     n = params.n_steps
     width = path_hi - path_lo
-    lanes = width + reference
     sig_sqdt = params.sigma * math.sqrt(params.dt)
-    # Per-step cost at narrow widths is call overhead, which Python-float
-    # operands and the out= keyword raise; so constants enter as one-element
-    # arrays and outputs positionally (np.maximum/np.minimum take out= only).
-    neg_b, pos_b, one, lo, hi, dt, half_dt = (
-        np.array([v]) for v in
-        (-params.b, params.b, 1.0, -_S_CLAMP, _S_CLAMP, params.dt, 0.5 * params.dt)
+    # Per-step cost at narrow widths is call overhead, so constants are
+    # arrays, every view is made before the loop and outputs are positional.
+    # Broadcasting a column costs more than reading a full array, so the
+    # per-row constants are stored full width.
+    b, two = np.array([params.b]), np.array([2.0])
+    half, full, sixth = (
+        np.repeat([[-h], [h], [-h]], width, axis=1)
+        for h in (0.5 * params.dt, params.dt, params.dt / 6.0)
     )
+    flip = np.repeat([[-1.0], [1.0]], width, axis=1)
     mul, add = np.multiply, np.add
-    s = np.full(lanes, params.s0)
-    x = np.full(lanes, params.x0)
-    sp, xp, d1s, d1x, d2s, d2x, root, tmp = np.empty((8, lanes))
-    noisy = s[:width]
-    sum_s = np.zeros(n + 1)
-    sum_s2 = np.zeros(n + 1)
-    s_last = np.empty(n + 1)
-    x_last = np.empty(n + 1)
-    sum_s[0] = noisy.sum()
-    sum_s2[0] = np.dot(noisy, noisy)
-    s_last[0], x_last[0] = s[-1], x[-1]
+    # Rows u, v, s.  The slopes are stored as (s v, s (u + b), b v): the
+    # signs of du/dt = -s v and ds/dt = -b v ride on the step constants.
+    y, stage, k1, k2, k3, k4 = np.empty((6, 3, width))
+    r = math.sqrt(1.0 - params.s0 * params.s0)
+    y[0], y[1], y[2] = r * math.cos(params.x0), r * math.sin(params.x0), params.s0
+    u, v, s = y
+    uv, vu, stage_uv, rot = y[:2], y[1::-1], stage[:2], k4[:2]
+    y_rows, stage_rows, k1_rows, k2_rows, k3_rows, k4_rows = (
+        tuple(a) for a in (y, stage, k1, k2, k3, k4)
+    )
+    dev = np.empty(width)
+    mean, m2 = np.empty((2, n + 1))
+    mean[0], m2[0] = params.s0, 0.0
+    drift = 0.0
+    x = np.full(n + 1, params.x0) if phase else None
 
-    def drift(s_in, x_in, ds, dx):
-        # -b * root * sin(x) and s * (1 + b * cos(x) / root), operation for
-        # operation as written, so the bits match the plain-operator form;
-        # maximum/minimum clamp like np.clip at a fraction of its call cost
-        np.maximum(s_in, lo, out=root)
-        np.minimum(root, hi, out=root)
-        mul(root, root, root)
-        np.subtract(one, root, root)
-        np.sqrt(root, root)
-        mul(root, neg_b, ds)
-        np.sin(x_in, tmp)
-        mul(ds, tmp, ds)
-        np.cos(x_in, tmp)
-        mul(tmp, pos_b, tmp)
-        np.divide(tmp, root, tmp)
-        add(tmp, one, tmp)
-        mul(s_in, tmp, dx)
+    def slopes(state, k):
+        su, sv, ss = state
+        ku, kv, ks = k
+        mul(ss, sv, ku)
+        add(su, b, kv)
+        mul(ss, kv, kv)
+        mul(sv, b, ks)
 
-    generators = None
-    if params.sigma > 0.0:
-        generators = [path_noise_generator(params.seed, i) for i in range(path_lo, path_hi)]
-    # one row of increments per step; the reference lane's column stays 0
-    noise = np.zeros((min(_NOISE_BLOCK, n), lanes))
+    generators = [path_noise_generator(params.seed, i) for i in range(path_lo, path_hi)]
+    cos_block, sin_block = np.empty((2, min(_NOISE_BLOCK, n), width))
     k = 0
-    while k < n:
-        block = min(_NOISE_BLOCK, n - k)
-        if generators is not None:
+    # a non-finite state is reported once, after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n:
+            block = min(_NOISE_BLOCK, n - k)
+            angles = sin_block[:block]
             for i, gen in enumerate(generators):
-                noise[:block, i] = gen.standard_normal(block)
-            noise[:block] *= sig_sqdt
-        for dw in noise[:block]:
-            drift(s, x, d1s, d1x)
-            mul(d1s, dt, sp)
-            add(s, sp, sp)
-            mul(d1x, dt, xp)
-            add(x, xp, xp)
-            add(xp, dw, xp)
-            drift(sp, xp, d2s, d2x)
-            add(d1s, d2s, d1s)
-            mul(d1s, half_dt, d1s)
-            add(s, d1s, s)
-            add(d1x, d2x, d1x)
-            mul(d1x, half_dt, d1x)
-            add(x, d1x, x)
-            add(x, dw, x)
-            k += 1
-            np.abs(s, tmp)
-            worst = int(tmp.argmax())
-            if tmp[worst] >= _S_ABORT:
-                where = ("the noiseless reference path" if worst == width
-                         else f"path {path_lo + worst}")
-                raise StepRejected(
-                    f"|s| reached {float(s[worst])!r} at t={float(k * params.dt)!r} on {where}",
-                    path_index=None if worst == width else path_lo + worst,
-                )
-            if width:
-                sum_s[k] = noisy.sum()
-                sum_s2[k] = np.dot(noisy, noisy)
-            s_last[k] = s[-1]
-            x_last[k] = x[-1]
-    return sum_s, sum_s2, s_last, x_last
+                angles[:, i] = gen.standard_normal(block)
+            angles *= sig_sqdt
+            if phase:
+                # each step's angle waits in x until that step adds the phase
+                x[k + 1:k + block + 1] = angles[:, 0]
+            np.cos(angles, cos_block[:block])
+            np.sin(angles, angles)
+            for cos_t, sin_t in zip(cos_block[:block], angles):
+                # (u, v) -> (u cos - v sin, v cos + u sin)
+                mul(vu, sin_t, rot)
+                mul(rot, flip, rot)
+                mul(uv, cos_t, stage_uv)
+                add(stage_uv, rot, uv)
+                slopes(y_rows, k1_rows)
+                mul(k1, half, stage)
+                add(y, stage, stage)
+                slopes(stage_rows, k2_rows)
+                mul(k2, half, stage)
+                add(y, stage, stage)
+                slopes(stage_rows, k3_rows)
+                mul(k3, full, stage)
+                add(y, stage, stage)
+                slopes(stage_rows, k4_rows)
+                add(k2, k3, k2)
+                mul(k2, two, k2)
+                add(k1, k2, k1)
+                add(k1, k4, k1)
+                mul(k1, sixth, k1)
+                k += 1
+                u0, v0 = float(u[0]), float(v[0])
+                add(y, k1, y)
+                if phase:
+                    u1, v1 = float(u[0]), float(v[0])
+                    x[k] = x[k - 1] + x[k] + math.atan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)
+                level = s.sum() / width
+                np.subtract(s, level, dev)
+                mean[k] = level
+                m2[k] = np.dot(dev, dev)
+            drift = max(drift, float(np.max(np.abs((y * y).sum(axis=0) - 1.0))))
+    _require_finite(params.dt, mean, m2, x)
+    return mean, m2, drift, x
 
 
 def integrate_sde(params: BecParams, path_index: int) -> Trajectory:
-    """One stochastic path, bit-reproducible for a fixed (seed, path index)."""
+    """One stochastic path, bit-reproducible for a fixed (seed, path index).
+
+    The path is one lane of the ensemble kernel, so it carries the very
+    bits that path contributes to :func:`ensemble_interference`; its x is
+    the continuous phase, x0 plus each step's noise angle and drift turn.
+    """
     if path_index < 0:
         raise ValueError(f"path index must be nonnegative, got {path_index}")
-    _, _, s, x = _heun_paths(params, path_index, path_index + 1)
+    s, _, _, x = _bloch_lanes(params, path_index, path_index + 1, phase=True)
     return Trajectory(times=params.times(), s=s, x=x)
 
 
 def ensemble_interference(params: BecParams, workers: int = 1) -> EnsembleResult:
     """Ensemble-averaged populations and interference factors.
 
-    p_n(t) averages the per-path populations; f_n(t) is the same scheme run
-    without noise, as one extra lane of the first chunk, so the
-    interference factor vanishes identically when sigma is zero (all paths
-    then coincide with the noiseless curve, so only that lane runs and is
-    used directly instead of summing N identical copies).  Chunk sums are
-    combined in fixed order, making the output independent of ``workers``;
-    the pool never has more processes than chunks or usable CPUs.
+    p_n(t) averages the per-path populations; f_n(t) is
+    :func:`integrate_deterministic`, which a noiseless lane reproduces bit
+    for bit, so the interference factor vanishes identically when sigma is
+    zero (then every path is the noiseless curve and no path is run).  The
+    chunks' means and centred sums of squares are merged in fixed order
+    (Chan, Golub and LeVeque, 1983), making the output independent of
+    ``workers``; the pool never has more processes than chunks or usable
+    CPUs.
     """
     if params.n_paths < 2:
         raise ValueError(f"ensemble needs at least two paths, got {params.n_paths}")
     n = params.n_paths
+    s_det = integrate_deterministic(params).s
     if params.sigma == 0.0:
-        chunks = [(params, 0, 0, True)]
+        mean_s, m2, drift = s_det, np.zeros(params.n_steps + 1), 0.0
     else:
-        chunks = [
-            (params, lo, min(lo + CHUNK_PATHS, n), lo == 0)
-            for lo in range(0, n, CHUNK_PATHS)
-        ]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(workers, len(chunks), cpus)
-    if processes > 1:
-        with multiprocessing.Pool(processes) as pool:
-            partials = pool.starmap(_heun_paths, chunks)
-    else:
-        partials = [_heun_paths(*chunk) for chunk in chunks]
-    s_det = partials[0][2]
-
-    if params.sigma == 0.0:
-        mean_s = s_det
-        variance = np.zeros(params.n_steps + 1)
-    else:
-        sum_s = np.zeros(params.n_steps + 1)
-        sum_s2 = np.zeros(params.n_steps + 1)
-        for part_s, part_s2, _, _ in partials:
-            sum_s += part_s
-            sum_s2 += part_s2
-        mean_s = sum_s / n
-        variance = np.maximum(sum_s2 - sum_s * mean_s, 0.0) / (n - 1)
+        chunks = [(params, lo, min(lo + CHUNK_PATHS, n)) for lo in range(0, n, CHUNK_PATHS)]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        processes = min(workers, len(chunks), cpus)
+        if processes > 1:
+            with multiprocessing.Pool(processes) as pool:
+                partials = pool.starmap(_bloch_lanes, chunks)
+        else:
+            partials = [_bloch_lanes(*chunk) for chunk in chunks]
+        mean_s, m2, count = 0.0, 0.0, 0
+        drift = max(part[2] for part in partials)
+        for (_, lo, hi), (part_mean, part_m2, _, _) in zip(chunks, partials):
+            width = hi - lo
+            total = count + width
+            delta = part_mean - mean_s
+            mean_s = mean_s + delta * (width / total)
+            m2 = m2 + part_m2 + delta * delta * (count * width / total)
+            count = total
 
     p1 = 0.5 * (1.0 - mean_s)
     f1 = 0.5 * (1.0 - s_det)
@@ -396,8 +397,8 @@ def ensemble_interference(params: BecParams, workers: int = 1) -> EnsembleResult
     p2 = 1.0 - p1
     f2 = 1.0 - f1
     q2 = p2 - f2
-    std_err1 = 0.5 * np.sqrt(variance / n)
+    std_err1 = 0.5 * np.sqrt(m2 / (n - 1) / n)
     return EnsembleResult(
         times=params.times(), p1=p1, p2=p2, f1=f1, f2=f2, q1=q1, q2=q2,
-        n_paths=n, std_err1=std_err1,
+        n_paths=n, std_err1=std_err1, max_norm_drift=drift,
     )

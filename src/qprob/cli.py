@@ -431,6 +431,7 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
         Path(svg_path).write_text(svg, encoding="utf-8")
 
     report = _report_skeleton("bec-sim", config)
+    report["meta"]["kernel"] = becsim.KERNEL
     report["result"] = {
         "critical_amplitude": bc,
         "regime": regime.value,
@@ -573,12 +574,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except becsim.StepRejected as exc:
-        where = "" if exc.path_index is None else f" (path {exc.path_index})"
-        sys.stderr.write(f"numerical failure{where}: {exc}\n")
-        return EXIT_NUMERICAL
-    except (quarterlaw.QuadratureError, NotHermitianError, NoConvergenceError,
-            DegenerateProspectError, ArithmeticError) as exc:
+    except (becsim.StepRejected, quarterlaw.QuadratureError, NotHermitianError,
+            NoConvergenceError, DegenerateProspectError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

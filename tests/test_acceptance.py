@@ -36,10 +36,8 @@ from qprob.uncertain import ModeWeights
 #: One clean stream for every random batch in this module.
 RNG = np.random.default_rng(20240601)
 
-#: Fixed ensemble seed for the stochastic criteria.  Supercritical noisy
-#: paths occasionally random-walk their energy up to the |s| = 1 pole and
-#: abort (by design); this seed's ensembles stay clear of it over the full
-#: horizon.
+#: Fixed ensemble seed for the stochastic criteria: the seed the README
+#: gives for the paper figures (``run_interference_figures.py --seed 4``).
 ENSEMBLE_SEED = 4
 
 

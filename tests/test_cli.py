@@ -1,10 +1,16 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from qprob import cli
+from qprob import becsim, cli
 
 
 def run(argv, capsys):
@@ -226,17 +232,44 @@ class TestBecSim:
             cli._write_json_report(str(report_path), {"result": {"max_abs_q1": math.nan}})
         assert not report_path.exists()
 
-    def test_singular_path_exits_numerical(self, capsys):
-        # start just below the pole, pushed upward: the path aborts
+    @pytest.mark.parametrize("sigma", ["0", "0.1"])
+    def test_start_next_to_pole_completes(self, capsys, tmp_path, sigma):
+        # start just below |s| = 1, pushed upward: no pole, so the run completes
+        out_path = tmp_path / "run.csv"
         code, _, err = run(
             [
-                "bec-sim", "--b", "1", "--sigma", "0", "--s0", "0.9999999999",
+                "bec-sim", "--b", "1", "--sigma", sigma, "--s0", "0.9999999999",
                 "--x0", str(-math.pi / 2), "--tmax", "1", "--paths", "4",
+                "--stride", "50", "--out", str(out_path),
             ],
             capsys,
         )
+        assert code == 0, err
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in out_path.read_text().splitlines()[1:]])
+        assert np.all(np.isfinite(table))
+        assert np.all((table[:, 1] >= 0.0) & (table[:, 1] <= 1.0))
+
+    def test_non_finite_state_exits_numerical(self, capsys, tmp_path):
+        out_path = tmp_path / "run.csv"
+        code, _, err = run(
+            ["bec-sim", "--b", "1e300", "--dt", "1", "--tmax", "10", "--paths", "4",
+             "--out", str(out_path)],
+            capsys,
+        )
         assert code == 3
-        assert "path" in err
+        assert err.startswith("numerical failure: ") and "non-finite" in err
+        assert not out_path.exists()
+
+    def test_report_names_the_kernel(self, capsys, tmp_path):
+        report_path = tmp_path / "run.json"
+        code, _, _ = run(
+            ["bec-sim", "--tmax", "0.01", "--paths", "4", "--out", str(tmp_path / "run.csv"),
+             "--report", str(report_path)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(report_path.read_text())["meta"]["kernel"] == becsim.KERNEL
 
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -261,6 +294,48 @@ class TestBecSim:
         code, _, err = run(["bec-sim", "--config", str(config)], capsys)
         assert code == 2
         assert "unknown config keys" in err
+
+
+#: Any float at all, with the awkward ones drawn often.
+_ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0, 5e-324])
+)
+
+
+def _mostly(usual, rest=_ANY_FLOAT):
+    """Draws from ``usual`` four times in five, else from ``rest``."""
+    return st.one_of(usual, usual, usual, usual, rest)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    b=_mostly(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e300))),
+    sigma=_mostly(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e300))),
+    s0=_mostly(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
+    x0=_mostly(st.floats(-1e300, 1e300)),
+    paths=st.integers(2, 8),
+    tmax=_mostly(st.floats(0.002, 0.05), st.floats(0.0, 0.05)),
+)
+def test_bec_sim_fuzz_exits_cleanly(b, sigma, s0, x0, paths, tmax):
+    # every input is rejected (2), fails numerically (3) or gives finite output (0)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "run.csv"
+        report_path = Path(tmp) / "run.json"
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([
+                "bec-sim", f"--b={b!r}", f"--sigma={sigma!r}", f"--s0={s0!r}", f"--x0={x0!r}",
+                f"--paths={paths}", f"--tmax={tmax!r}", "--stride=10",
+                f"--out={csv_path}", f"--report={report_path}",
+            ])
+        event(f"exit {code}")
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert csv_path.exists() and report_path.exists()
+        for path in (csv_path, report_path):
+            if path.exists():
+                assert "nan" not in path.read_text().lower()
 
 
 class TestVerify:
