@@ -51,6 +51,11 @@ CHUNK_PATHS = 1024
 #: cosines and one row of sines of the noise angles per step.
 _NOISE_BLOCK = 512
 
+#: Largest step count a run may ask for, checked before anything is
+#: allocated.  It is five times the 2e6 steps of the finest run in the
+#: acceptance suite; the noiseless curve alone then takes 160 MB.
+MAX_STEPS = 10**7
+
 #: The scheme of every noisy path, as named in reports.
 KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
 
@@ -75,7 +80,7 @@ class BecParams:
     """Integration setup: dynamics, grid, ensemble size and seed.
 
     Times are dimensionless; the horizon is realized as round(t_max/dt)
-    steps of exactly dt.
+    steps of exactly dt, at most :data:`MAX_STEPS` of them.
     """
 
     b: float
@@ -98,6 +103,12 @@ class BecParams:
             raise ValueError(f"time step must be positive, got {self.dt!r}")
         if not self.t_max > self.dt:
             raise ValueError(f"horizon {self.t_max!r} must exceed the step {self.dt!r}")
+        steps = self.t_max / self.dt
+        if not (math.isfinite(steps) and round(steps) <= MAX_STEPS):
+            raise ValueError(
+                f"horizon {self.t_max!r} at step {self.dt!r} needs {steps:.15g} steps; "
+                f"at most {MAX_STEPS} are allowed"
+            )
         if self.b < 0.0:
             raise ValueError(f"pumping amplitude must be nonnegative, got {self.b!r}")
         if self.sigma < 0.0:
@@ -174,9 +185,9 @@ def regime_classify(b: float, s0: float, x0: float, tol: float = 1e-9) -> Regime
     return Regime.CRITICAL
 
 
-def hamiltonian(s: float, x: float, b: float) -> float:
-    """Conserved energy of the noiseless motion."""
-    return 0.5 * s * s - b * math.sqrt(1.0 - s * s) * math.cos(x)
+def hamiltonian(s, x, b: float):
+    """Conserved energy of the noiseless motion, for scalars or arrays of s and x."""
+    return 0.5 * s * s - b * np.sqrt(1.0 - s * s) * np.cos(x)
 
 
 def integrate_deterministic(params: BecParams) -> Trajectory:

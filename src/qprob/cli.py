@@ -82,8 +82,12 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
+#: Config keys whose values must be integers; a JSON bool is not one.
+_INT_KEYS = ("paths", "stride", "seed", "m", "dim")
+
+
 def _effective_config(defaults: dict[str, Any], config: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
-    """Merge defaults < config file < explicitly given flags."""
+    """Merge defaults < config file < explicitly given flags, and check the types."""
     unknown = set(config) - set(defaults)
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -93,6 +97,12 @@ def _effective_config(defaults: dict[str, Any], config: dict[str, Any], args: ar
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             merged[key] = value
+    for key in _INT_KEYS:
+        value = merged.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise CliError(f"{key} must be an integer, got {value!r}")
+    if not isinstance(merged.get("rows", []), list):
+        raise CliError(f"rows must be a list of alpha,beta,mu,nu,lambda_plus strings, got {merged['rows']!r}")
     return merged
 
 
@@ -173,7 +183,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     config = _effective_config(_MEASURE_DEFAULTS, _load_config(args.config), args)
     seed = config["seed"] if config["seed"] is not None else _env_seed()
     spec = str(config["state"])
-    dim = int(config["dim"])
+    dim = config["dim"]
     if dim < 1:
         raise CliError(f"dimension must be positive, got {dim}")
     try:
@@ -231,11 +241,10 @@ def _prospect_state_from_config(config: dict[str, Any], seed: int) -> CompositeS
         amplitudes = np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128)
         return CompositeState(rho=DensityOperator.pure(amplitudes), dim_a=2, dim_b=2)
     if preset == "max-entangled":
-        return max_entangled_state(int(config["m"]))
+        return max_entangled_state(config["m"])
     if preset == "product":
         rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-        m = int(config["m"])
-        return product_state(random_density(rng, m), random_density(rng, m))
+        return product_state(random_density(rng, config["m"]), random_density(rng, config["m"]))
     if preset == "file":
         path = config["state-file"]
         if not path:
@@ -373,7 +382,7 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
     config = _effective_config(_BEC_DEFAULTS, _load_config(args.config), args)
     seed = config["seed"] if config["seed"] is not None else _env_seed()
     config["seed"] = seed
-    stride = int(config["stride"])
+    stride = config["stride"]
     if stride < 1:
         raise CliError(f"stride must be positive, got {stride}")
     if config["plot"] and config["out"] is None:
@@ -386,7 +395,7 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
             x0=float(config["x0"]),
             dt=float(config["dt"]),
             t_max=float(config["tmax"]),
-            n_paths=int(config["paths"]),
+            n_paths=config["paths"],
             seed=seed,
         )
         bc = becsim.critical_amplitude(params.s0, params.x0)

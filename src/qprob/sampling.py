@@ -21,11 +21,6 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_pure_state(rng: np.random.Generator, dim: int) -> DensityOperator:
-    v = random_unit_vector(rng, dim)
-    return DensityOperator(outer(v, v))
-
-
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     """Full-support mixed state: simplex-weighted mixture of dim pure states."""
     weights = rng.dirichlet(np.ones(dim))

@@ -1,11 +1,15 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each criterion reports one summary line via the ``acceptance`` fixture; the
-stochastic ensembles share module-scoped fixtures because they dominate the
-runtime.
+Criteria 1-6, 7a and 8 are the checks of the invariant registry
+``qprob.verify.CHECKS``, run here on streams of their own; criteria 7b, 9
+and 10 are tested below.  Each criterion reports one summary line via the
+``acceptance`` fixture; the stochastic ensembles share module-scoped
+fixtures because they dominate the runtime.
 """
 
+import dataclasses
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,184 +18,71 @@ import numpy as np
 import pytest
 
 import qprob
-from qprob.becsim import (
-    BecParams,
-    critical_amplitude,
-    ensemble_interference,
-    integrate_deterministic,
-)
-from qprob.events import DensityOperator
-from qprob.prospects import (
-    CompositeState,
-    Prospect,
-    max_entangled_state,
-    product_state,
-    prospect_probabilities,
-    prospect_state,
-)
-from qprob.quarterlaw import BetaPairDistribution, q_split_closed, q_split_numeric
-from qprob.sampling import random_density, random_entangled_pure, random_weights
-from qprob.uncertain import ModeWeights
+from qprob import verify
+from qprob.becsim import BecParams, ensemble_interference, integrate_deterministic
 
-#: One clean stream for every random batch in this module.
-RNG = np.random.default_rng(20240601)
+#: Root seed of the registered checks' streams.
+ACCEPTANCE_SEED = 20240601
+
+#: Independent streams per registered check; each check's own sample count
+#: times this is the acceptance sample size.
+STREAMS = 4
 
 #: Fixed ensemble seed for the stochastic criteria: the seed the README
-#: gives for the paper figures (``run_interference_figures.py --seed 4``).
+#: gives for the paper figures.
 ENSEMBLE_SEED = 4
 
+#: Workers for the ensemble fixtures; the output is the same for any count.
+WORKERS = os.cpu_count() or 1
 
-def test_criterion_1_critical_amplitude(acceptance):
-    value = critical_amplitude(-0.9, 0.0)
+_NUMBERED = [index for index, (_, criterion, _) in enumerate(verify.CHECKS) if criterion is not None]
+
+
+def test_registry_numbers_criteria_1_to_8():
+    assert {criterion for _, criterion, _ in verify.CHECKS if criterion is not None} == set(range(1, 9))
+
+
+def test_corrupt_fails_only_the_normalization_check():
+    failed = [f"{r.group}/{r.name}" for r in verify.run_checks(7, corrupt=True) if not r.passed]
+    assert failed == ["prospects/probability-normalization"]
+
+
+def test_a_nan_fails_the_checks_it_reaches(monkeypatch):
+    real = verify.prospect_probabilities
+
+    def nan_interference(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, q=np.full_like(result.q, np.nan))
+
+    monkeypatch.setattr(verify, "prospect_probabilities", nan_interference)
+    failed = {r.name for r in verify.run_checks(7, group_filter="prospects") if not r.passed}
+    assert failed == {
+        "interference-decomposition-reference-values",
+        "probability-normalization",
+        "interference-vanishes-for-product-states",
+        "interference-vanishes-for-maximally-entangled-states",
+        "entangled-state-interference-witness",
+    }
+
+
+@pytest.mark.parametrize(
+    "index",
+    _NUMBERED,
+    ids=[f"{verify.CHECKS[i][1]}-{verify.CHECKS[i][2].__name__.removeprefix('_check_')}" for i in _NUMBERED],
+)
+def test_criterion(acceptance, index):
+    group, criterion, check = verify.CHECKS[index]
+    # the becsim checks draw nothing from their stream
+    streams = 1 if group == "becsim" else STREAMS
+    results = [
+        check(np.random.default_rng([ACCEPTANCE_SEED, index, stream]), False, 1)
+        for stream in range(streams)
+    ]
     acceptance(
-        1,
-        "critical-amplitude-reference",
-        abs(value - 0.28206) < 5e-4,
-        f"critical amplitude {value:.5f} vs 0.28206",
-    )
-
-
-def test_criterion_2_quarter_law_closed_form(acceptance):
-    shapes = (0.3, 0.5, 1.0, 2.0, 5.0, 10.0)
-    exact = True
-    for alpha in shapes:
-        for mu in shapes:
-            split = q_split_closed(BetaPairDistribution.symmetric(alpha, mu))
-            exact = exact and split.q_plus == 0.25 and split.q_minus == -0.25
-    uniform = q_split_closed(BetaPairDistribution.uniform())
-    exact = exact and uniform == (0.25, -0.25)
-    acceptance(2, "quarter-law-closed-form", exact, f"{len(shapes)**2} symmetric configurations exact")
-
-
-def test_criterion_3_quarter_law_quadrature(acceptance):
-    worst = 0.0
-    for _ in range(200):
-        lam = float(RNG.uniform(0.2, 0.8))
-        dist = BetaPairDistribution(
-            alpha=float(RNG.uniform(0.3, 10.0)),
-            beta=float(RNG.uniform(0.3, 10.0)),
-            mu=float(RNG.uniform(0.3, 10.0)),
-            nu=float(RNG.uniform(0.3, 10.0)),
-            lambda_plus=lam,
-            lambda_minus=1.0 - lam,
-        )
-        closed = q_split_closed(dist)
-        numeric = q_split_numeric(dist, tol=1e-10)
-        worst = max(worst, abs(closed.q_plus - numeric.q_plus), abs(closed.q_minus - numeric.q_minus))
-    acceptance(3, "quarter-law-quadrature", worst < 1e-8, f"max |closed - quadrature| = {worst:.2e}")
-
-
-def test_criterion_4a_product_states(acceptance):
-    worst = 0.0
-    dims = ((2, 2), (2, 3), (3, 3))
-    for i in range(500):
-        dim_a, dim_b = dims[i % 3]
-        state = product_state(random_density(RNG, dim_a), random_density(RNG, dim_b))
-        res = prospect_probabilities(state, random_weights(RNG, dim_b), mode="normalized")
-        worst = max(worst, float(np.max(np.abs(res.q))))
-    acceptance(
-        4,
-        "zero-interference-theorems: product states",
-        worst < 1e-12,
-        f"product max |q| = {worst:.2e}",
-    )
-
-
-def test_criterion_4b_max_entangled(acceptance):
-    worst = 0.0
-    for m in range(2, 7):
-        state = max_entangled_state(m)
-        for _ in range(100):
-            res = prospect_probabilities(state, random_weights(RNG, m), mode="raw")
-            worst = max(worst, float(np.max(np.abs(res.q))))
-    acceptance(
-        4,
-        "zero-interference-theorems: maximally entangled",
-        worst < 1e-12,
-        f"maximally entangled max |q| = {worst:.2e}",
-    )
-
-
-def test_criterion_5_probability_measure_axioms(acceptance):
-    worst_sum = 0.0
-    bounds_ok = True
-    dims = ((2, 2), (2, 3), (3, 3))
-    for i in range(1000):
-        dim_a, dim_b = dims[i % 3]
-        state = random_entangled_pure(RNG, dim_a, dim_b)
-        res = prospect_probabilities(state, random_weights(RNG, dim_b), mode="normalized")
-        worst_sum = max(
-            worst_sum,
-            abs(float(res.p.sum()) - 1.0),
-            abs(float(res.f.sum()) - 1.0),
-            abs(float(res.q.sum())),
-        )
-        bounds_ok = bounds_ok and bool(
-            np.all((res.p >= 0.0) & (res.p <= 1.0))
-            and np.all((res.f >= 0.0) & (res.f <= 1.0))
-            and np.all(np.abs(res.q) <= 1.0)
-        )
-    acceptance(
-        5,
-        "probability-measure-axioms",
-        worst_sum < 1e-10 and bounds_ok,
-        f"max sum deviation = {worst_sum:.2e}, bounds {'held' if bounds_ok else 'violated'}",
-    )
-
-
-def test_criterion_6_bell_like_oracle(acceptance):
-    amplitudes = np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
-    state = CompositeState(rho=DensityOperator.pure(amplitudes), dim_a=2, dim_b=2)
-    weights = ModeWeights.normalized([1.0, 1.0])
-
-    # independent dense-matrix oracle, entry by entry
-    rho = state.matrix
-    w = weights.values
-    oracle_p = np.empty(2)
-    oracle_f = np.empty(2)
-    oracle_q = np.empty(2)
-    for n in range(2):
-        pi = prospect_state(Prospect(n=n, weights=weights), 2)
-        oracle_p[n] = float(np.vdot(pi, rho @ pi).real)
-        oracle_f[n] = sum(abs(w[a]) ** 2 * rho[n * 2 + a, n * 2 + a].real for a in range(2))
-        acc = 0.0 + 0.0j
-        for a in range(2):
-            for b in range(2):
-                if a != b:
-                    acc += np.conj(w[a]) * w[b] * rho[n * 2 + a, n * 2 + b]
-        oracle_q[n] = acc.real
-
-    raw = prospect_probabilities(state, weights, mode="raw")
-    gap = max(
-        float(np.max(np.abs(raw.p - oracle_p))),
-        float(np.max(np.abs(raw.f - oracle_f))),
-        float(np.max(np.abs(raw.q - oracle_q))),
-        float(np.max(np.abs(raw.p - [0.5, 0.0]))),
-        float(np.max(np.abs(raw.f - [0.25, 0.25]))),
-        float(np.max(np.abs(raw.q - [0.25, -0.25]))),
-    )
-    normalized = prospect_probabilities(state, weights, mode="normalized")
-    gap = max(
-        gap,
-        float(np.max(np.abs(normalized.p - [1.0, 0.0]))),
-        float(np.max(np.abs(normalized.f - [0.5, 0.5]))),
-        float(np.max(np.abs(normalized.q - [0.5, -0.5]))),
-    )
-    acceptance(6, "bell-like-oracle-instance", gap < 1e-12, f"max deviation = {gap:.2e}")
-
-
-def test_criterion_7a_energy_drift(acceptance):
-    worst = 0.0
-    for b in (0.25, 0.5):
-        params = BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=100.0)
-        traj = integrate_deterministic(params)
-        h = 0.5 * traj.s**2 - b * np.sqrt(1.0 - traj.s**2) * np.cos(traj.x)
-        worst = max(worst, float(np.max(np.abs(h - h[0]))))
-    acceptance(
-        7,
-        "bec-deterministic-integrity: energy drift",
-        worst < 1e-6,
-        f"max energy drift = {worst:.2e}",
+        criterion,
+        results[0].name,
+        all(r.passed for r in results),
+        f"{streams} stream(s): " + " | ".join(dict.fromkeys(r.detail for r in results)),
     )
 
 
@@ -213,29 +104,12 @@ def test_criterion_7b_integrator_order(acceptance):
     )
 
 
-def test_criterion_8_regime_dichotomy(acceptance):
-    sub = integrate_deterministic(
-        BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0)
-    )
-    sup = integrate_deterministic(
-        BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0)
-    )
-    sub_bounded = bool(np.all(sub.s < 0.0))
-    sup_crosses = bool(np.any(sup.s >= 0.0))
-    acceptance(
-        8,
-        "regime-dichotomy",
-        sub_bounded and sup_crosses,
-        f"subcritical max s = {float(np.max(sub.s)):.4f}, supercritical crosses = {sup_crosses}",
-    )
-
-
 @pytest.fixture(scope="module")
 def ensemble_sub():
     params = BecParams(
         b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=100.0, n_paths=2000, seed=ENSEMBLE_SEED
     )
-    return ensemble_interference(params)
+    return ensemble_interference(params, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +117,7 @@ def ensemble_sup():
     params = BecParams(
         b=0.5, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=100.0, n_paths=2000, seed=ENSEMBLE_SEED
     )
-    return ensemble_interference(params)
+    return ensemble_interference(params, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +128,7 @@ def sigma_sweep():
             b=0.25, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=20.0, n_paths=4000,
             seed=ENSEMBLE_SEED,
         )
-        runs[sigma] = ensemble_interference(params)
+        runs[sigma] = ensemble_interference(params, workers=WORKERS)
     return runs
 
 

@@ -20,10 +20,6 @@ from qprob.becsim import (
 )
 
 
-def energy_series(traj, b):
-    return 0.5 * traj.s**2 - b * np.sqrt(1.0 - traj.s**2) * np.cos(traj.x)
-
-
 def polar_rk4(params):
     """Oracle: classical RK4 stepped directly in (s, x), clamped off the pole."""
     b, dt, clamp = params.b, params.dt, 1.0 - 1e-12
@@ -105,6 +101,14 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             BecParams(**fields)
 
+    def test_step_count_is_capped(self):
+        fields = dict(b=0.1, sigma=0.1, s0=0.5, x0=0.0, dt=1.0)
+        assert BecParams(**fields, t_max=float(becsim.MAX_STEPS)).n_steps == becsim.MAX_STEPS
+        with pytest.raises(ValueError, match=f"needs {becsim.MAX_STEPS + 1} steps"):
+            BecParams(**fields, t_max=float(becsim.MAX_STEPS + 1))
+        with pytest.raises(ValueError, match="needs inf steps"):
+            BecParams(**{**fields, "dt": 5e-324}, t_max=1.0)
+
     def test_step_grid(self):
         params = BecParams(b=0.1, sigma=0.0, s0=0.5, x0=0.0, dt=1e-3, t_max=2.0)
         assert params.n_steps == 2000
@@ -172,7 +176,7 @@ class TestDeterministic:
     def test_energy_drift(self, b):
         params = BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=100.0)
         traj = integrate_deterministic(params)
-        h = energy_series(traj, b)
+        h = hamiltonian(traj.s, traj.x, b)
         assert np.max(np.abs(h - h[0])) < 1e-6
 
     def test_fourth_order_convergence(self):
@@ -194,7 +198,7 @@ class TestDeterministic:
         traj = integrate_deterministic(params)
         assert np.all(np.isfinite(traj.s)) and np.all(np.isfinite(traj.x))
         assert np.max(np.abs(traj.s)) <= 1.0
-        h = energy_series(traj, params.b)
+        h = hamiltonian(traj.s, traj.x, params.b)
         assert np.max(np.abs(h - h[0])) < 1e-9
 
     @pytest.mark.parametrize("b", [0.25, 0.5])

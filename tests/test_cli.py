@@ -288,6 +288,13 @@ class TestBecSim:
         assert report["config"]["b"] == 0.25  # flag wins
         assert report["config"]["paths"] == 8  # config wins over default
 
+    @pytest.mark.parametrize("grid", [["--dt", "1", "--tmax", str(becsim.MAX_STEPS + 1)], ["--tmax", "1e9"]])
+    def test_step_count_over_the_cap_fails_validation(self, capsys, grid):
+        # the cap is checked before anything is allocated
+        code, _, err = run(["bec-sim", *grid, "--paths", "2"], capsys)
+        assert code == 2
+        assert f"at most {becsim.MAX_STEPS}" in err
+
     def test_unknown_config_key(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"bogus": 1}))
@@ -336,6 +343,29 @@ def test_bec_sim_fuzz_exits_cleanly(b, sigma, s0, x0, paths, tmax):
         for path in (csv_path, report_path):
             if path.exists():
                 assert "nan" not in path.read_text().lower()
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        (["bec-sim", "--tmax", "0.01"], {"seed": 1.5, "paths": 2}, "seed"),
+        (["verify"], {"seed": 1.5}, "seed"),
+        (["bec-sim", "--tmax", "0.01"], {"paths": 2.7}, "paths"),
+        (["bec-sim", "--tmax", "0.01"], {"paths": True}, "paths"),
+        (["bec-sim", "--tmax", "0.01", "--paths", "2"], {"stride": 1.9}, "stride"),
+        (["measure", "--state", "random"], {"dim": 2.0}, "dim"),
+        (["prospect", "--preset", "product"], {"m": 2.5}, "m"),
+        (["quarter-law"], {"rows": "1,1,1,1,0.5"}, "rows"),
+    ],
+)
+def test_config_value_of_wrong_type_fails_validation(capsys, tmp_path, command, config, field):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run([*command, "--config", str(config_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {field} must be ")
+    assert "Traceback" not in err
+    assert out == ""
 
 
 class TestVerify:
