@@ -82,8 +82,13 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
-#: Config keys whose values must be integers; a JSON bool is not one.
-_INT_KEYS = ("paths", "stride", "seed", "m", "dim")
+#: Config keys by JSON type; a bool is neither an integer nor a number.  Null
+#: is accepted only where the default is null.
+_TYPED_KEYS = (
+    (("paths", "stride", "seed", "m", "dim"), int, "an integer"),
+    (("b", "sigma", "s0", "x0", "dt", "tmax"), (int, float), "a number"),
+    (("plot", "strict", "corrupt-state"), bool, "true or false"),
+)
 
 
 def _effective_config(defaults: dict[str, Any], config: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
@@ -97,10 +102,13 @@ def _effective_config(defaults: dict[str, Any], config: dict[str, Any], args: ar
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             merged[key] = value
-    for key in _INT_KEYS:
-        value = merged.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise CliError(f"{key} must be an integer, got {value!r}")
+    for keys, kind, name in _TYPED_KEYS:
+        for key in keys:
+            value = merged.get(key)
+            if value is None and defaults.get(key) is None:
+                continue
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise CliError(f"{key} must be {name}, got {value!r}")
     if not isinstance(merged.get("rows", []), list):
         raise CliError(f"rows must be a list of alpha,beta,mu,nu,lambda_plus strings, got {merged['rows']!r}")
     return merged
@@ -268,7 +276,7 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
         weights = ModeWeights.normalized(np.ones(state.dim_b))
         config["weights"] = ",".join("1" for _ in range(state.dim_b))
     else:
-        weights = _parse_weights(str(config["weights"]), bool(config["strict"]))
+        weights = _parse_weights(str(config["weights"]), config["strict"])
     if weights.dim != state.dim_b:
         raise CliError(f"weight length {weights.dim} does not match second factor {state.dim_b}")
 
@@ -476,7 +484,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results = verify.run_checks(
             seed,
             group_filter=config["filter"],
-            corrupt=bool(config["corrupt-state"]),
+            corrupt=config["corrupt-state"],
             workers=_env_workers(),
         )
     except ValueError as exc:

@@ -15,10 +15,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     SpectralDecomposition,
-    as_matrix,
+    _checked_hermitian,
     as_vector,
     hermitian_eigen,
-    hermiticity_residual,
     outer,
 )
 
@@ -28,10 +27,20 @@ PROBABILITY_DUST = 1e-9
 
 
 def clamp_probability(p: float, dust: float = PROBABILITY_DUST) -> float:
-    """Clamp ``p`` into [0, 1] after checking the violation is mere dust."""
-    if p < -dust or p > 1.0 + dust:
+    """Clamp ``p`` into [0, 1] after checking the violation is mere dust (a NaN is not)."""
+    if not -dust <= p <= 1.0 + dust:
         raise ArithmeticError(f"probability {p!r} violates [0, 1] beyond dust threshold {dust}")
     return min(1.0, max(0.0, p))
+
+
+def clamp_probabilities(p: np.ndarray, dust: float = PROBABILITY_DUST) -> np.ndarray:
+    """Array form of :func:`clamp_probability`: the same dust rule entrywise.
+
+    Checking the two extremes suffices, and a NaN entry makes both NaN.
+    """
+    clamp_probability(float(p.min()), dust)
+    clamp_probability(float(p.max()), dust)
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -39,25 +48,26 @@ class DensityOperator:
     """Trace-one positive Hermitian matrix describing a system state.
 
     Construction validates all three invariants and fails loudly instead of
-    repairing the input; repairing silently would mask caller bugs.
+    repairing the input; repairing silently would mask caller bugs.  Derived
+    states are validated too.  Cholesky of ``matrix + tol * I`` succeeds
+    exactly when no eigenvalue is below ``-tol``; only if it fails are the
+    eigenvalues computed, to decide and to report.
     """
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float) -> None:
-        m = as_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"state matrix must be square, got {m.shape}")
-        residual = hermiticity_residual(m)
-        if residual >= tol:
-            raise ValueError(f"state is not Hermitian within {tol} (residual {residual:.3e})")
+        m = _checked_hermitian(self.matrix, tol, "state")
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) >= tol:
             raise ValueError(f"state trace {tr!r} is not 1 within {tol}")
-        eigenvalues = hermitian_eigen(m, tol=tol).eigenvalues
-        if eigenvalues[0] < -tol:
-            raise ValueError(f"state has negative eigenvalue {eigenvalues[0]:.3e}")
+        try:
+            np.linalg.cholesky(m + tol * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            smallest = np.linalg.eigvalsh(m)[0]
+            if smallest < -tol:
+                raise ValueError(f"state has negative eigenvalue {smallest:.3e}") from None
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

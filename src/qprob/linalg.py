@@ -3,7 +3,9 @@
 Vectors are 1-d complex128 arrays, matrices 2-d complex128 arrays; every
 function is pure and never mutates its arguments.  Dimensions are expected
 to stay small (the eigensolver caps at 64), so clarity beats asymptotics
-throughout.
+throughout.  A Hermitian input is checked once, by one helper, for
+finiteness, squareness, that cap and Hermiticity; the eigensolver and the
+state validation in :mod:`qprob.events` both go through it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def kron(a, b) -> np.ndarray:
     entries = a.shape[0] * a.shape[1] * b.shape[0] * b.shape[1]
     if entries > MAX_KRON_ENTRIES:
         raise ValueError(f"kron result would have {entries} entries (limit {MAX_KRON_ENTRIES})")
-    return np.kron(a, b)
+    # Each entry is the single product a[i, j] * b[k, l], as in np.kron.
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def adjoint(a) -> np.ndarray:
@@ -78,12 +81,18 @@ def outer(u, v) -> np.ndarray:
     return np.outer(as_vector(u), as_vector(v).conj())
 
 
-def hermiticity_residual(a) -> float:
-    """Max-norm distance of ``a`` from its own adjoint."""
+def _checked_hermitian(a, tol: float, subject: str) -> np.ndarray:
+    """``a`` as a finite square matrix, at most ``MAX_EIGEN_DIM`` wide, with
+    ``|a - a^H|`` below ``tol`` in max-norm; ``subject`` names it in errors."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    return float(np.max(np.abs(a - a.conj().T)))
+        raise ValueError(f"{subject} must be square, got {a.shape}")
+    if a.shape[0] > MAX_EIGEN_DIM:
+        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_EIGEN_DIM}")
+    residual = float(np.max(np.abs(a - a.conj().T)))
+    if residual >= tol:
+        raise NotHermitianError(f"{subject} is not Hermitian within {tol} (residual {residual:.3e})")
+    return a
 
 
 @dataclass(frozen=True)
@@ -131,14 +140,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
         NoConvergenceError: the underlying iteration failed to converge.
         ValueError: non-square input or dimension above ``MAX_EIGEN_DIM``.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigensolver requires a square matrix, got {a.shape}")
-    if a.shape[0] > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_EIGEN_DIM}")
-    residual = hermiticity_residual(a)
-    if residual >= tol:
-        raise NotHermitianError(f"matrix is not Hermitian within {tol} (residual {residual:.3e})")
+    a = _checked_hermitian(a, tol, "matrix")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

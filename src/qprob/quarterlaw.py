@@ -205,13 +205,13 @@ def _adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 
     A panel is accepted when bisecting it moves the estimate by less than its
     tolerance share; the share halves with each split so the total error stays
-    below ``tol``.
+    below ``tol``.  A split panel's halves carry their estimates onto the
+    stack, so no interval is integrated twice.
     """
     total = 0.0
-    stack = [(lo, hi, tol, 0)]
+    stack = [(lo, hi, _gauss_panel(f, lo, hi), tol, 0)]
     while stack:
-        a, b, share, depth = stack.pop()
-        whole = _gauss_panel(f, a, b)
+        a, b, whole, share, depth = stack.pop()
         mid = 0.5 * (a + b)
         left = _gauss_panel(f, a, mid)
         right = _gauss_panel(f, mid, b)
@@ -222,8 +222,8 @@ def _adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                 f"no convergence on [{a}, {b}] at depth {depth} (estimate moved {abs(left + right - whole):.3e})"
             )
         else:
-            stack.append((a, mid, 0.5 * share, depth + 1))
-            stack.append((mid, b, 0.5 * share, depth + 1))
+            stack.append((a, mid, left, 0.5 * share, depth + 1))
+            stack.append((mid, b, right, 0.5 * share, depth + 1))
     return total
 
 

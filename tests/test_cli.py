@@ -356,6 +356,16 @@ def test_bec_sim_fuzz_exits_cleanly(b, sigma, s0, x0, paths, tmax):
         (["measure", "--state", "random"], {"dim": 2.0}, "dim"),
         (["prospect", "--preset", "product"], {"m": 2.5}, "m"),
         (["quarter-law"], {"rows": "1,1,1,1,0.5"}, "rows"),
+        (["bec-sim", "--paths", "2"], {"b": True, "tmax": 0.01, "sigma": 0}, "b"),
+        (["bec-sim", "--tmax", "0.01", "--paths", "2"], {"sigma": "0.1"}, "sigma"),
+        (["bec-sim", "--tmax", "0.01", "--paths", "2"], {"s0": False}, "s0"),
+        (["bec-sim", "--tmax", "0.01", "--paths", "2"], {"x0": None}, "x0"),
+        (["bec-sim", "--tmax", "0.01", "--paths", "2"], {"dt": "1e-3"}, "dt"),
+        (["bec-sim", "--paths", "2"], {"tmax": True}, "tmax"),
+        (["bec-sim", "--tmax", "0.01", "--paths", "2"], {"plot": "false"}, "plot"),
+        (["bec-sim", "--tmax", "0.01"], {"paths": None}, "paths"),
+        (["prospect"], {"strict": 1}, "strict"),
+        (["verify"], {"corrupt-state": "false"}, "corrupt-state"),
     ],
 )
 def test_config_value_of_wrong_type_fails_validation(capsys, tmp_path, command, config, field):
@@ -366,6 +376,14 @@ def test_config_value_of_wrong_type_fails_validation(capsys, tmp_path, command, 
     assert err.startswith(f"error: {field} must be ")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_config_integers_are_numbers(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"b": 1, "sigma": 0, "dt": 0.01, "tmax": 1, "paths": 2, "plot": False}))
+    code, out, err = run(["bec-sim", "--config", str(config_path)], capsys)
+    assert code == 0, err
+    assert out.startswith("t,")
 
 
 class TestVerify:

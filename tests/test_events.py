@@ -4,6 +4,8 @@ import pytest
 from qprob.events import (
     DensityOperator,
     Observable,
+    clamp_probabilities,
+    clamp_probability,
     event_probability,
     projector,
     to_eigenbasis,
@@ -42,6 +44,56 @@ class TestDensityOperator:
     def test_pure_normalizes(self):
         rho = DensityOperator.pure([2.0, 0.0])
         assert rho.matrix[0, 0] == pytest.approx(1.0)
+
+    def test_rejects_oversized(self):
+        with pytest.raises(ValueError, match="exceeds supported maximum 64"):
+            DensityOperator(np.eye(65, dtype=complex) / 65)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0, 1000.0])
+    def test_positivity_agrees_with_eigvalsh_at_the_tolerance(self, monkeypatch, k):
+        """States with smallest eigenvalue -k * tol over dims 2-64: accepted
+        exactly when eigvalsh puts that eigenvalue at or above -tol, and
+        without any eigenvector computation."""
+        tol = 1e-10
+        rng = np.random.default_rng([7, round(1000 * k)])
+        states = []
+        for dim in range(2, 65):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            u, _ = np.linalg.qr(g)
+            rest = rng.uniform(0.1, 1.0, dim - 1)
+            spectrum = np.concatenate(([-k * tol], rest * (1.0 + k * tol) / rest.sum()))
+            m = (u * spectrum) @ u.conj().T
+            states.append((m + m.conj().T) / 2.0)
+
+        def no_eigenvectors(*args, **kwargs):
+            raise AssertionError("DensityOperator must not compute eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+        for m in states:
+            if np.linalg.eigvalsh(m)[0] < -tol:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    DensityOperator(m, tol=tol)
+            else:
+                DensityOperator(m, tol=tol)
+
+
+class TestClampProbability:
+    def test_scalar_rejects_nan(self):
+        with pytest.raises(ArithmeticError, match="nan"):
+            clamp_probability(float("nan"))
+
+    def test_array_rejects_nan(self):
+        with pytest.raises(ArithmeticError, match="nan"):
+            clamp_probabilities(np.array([0.5, float("nan")]))
+
+    def test_array_form_matches_scalar_form(self):
+        p = np.array([-1e-10, 0.0, 0.25, 1.0, 1.0 + 1e-10])
+        assert np.array_equal(clamp_probabilities(p), [clamp_probability(v) for v in p])
+        for bad in (-2e-9, 1.0 + 2e-9, float("inf"), -float("inf")):
+            with pytest.raises(ArithmeticError, match="dust"):
+                clamp_probability(bad)
+            with pytest.raises(ArithmeticError, match="dust"):
+                clamp_probabilities(np.array([0.5, bad]))
 
 
 class TestProjector:

@@ -26,7 +26,7 @@ from qprob.sampling import (
     random_observable,
     random_weights,
 )
-from qprob.uncertain import ModeWeights
+from qprob.uncertain import IMAG_RESIDUE_TOL, ModeWeights
 
 RNG = np.random.default_rng(314159)
 
@@ -64,6 +64,24 @@ def pfq_oracle(state, weights):
         assert abs(acc.imag) < 1e-12
         q[n] = acc.real
     return p, f, q
+
+
+def mode_pfq_loop(matrix, dim_a, dim_b, weights):
+    """The per-block loop that ``mode_pfq`` replaced, kept as its oracle."""
+    w = weights.values
+    weight_probs = np.abs(w) ** 2
+    blocks = matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    f = np.empty(dim_a)
+    q = np.empty(dim_a)
+    for n in range(dim_a):
+        block = blocks[n, :, n, :]
+        diag = block.diagonal()
+        f[n] = float(np.dot(weight_probs, diag.real))
+        interference = np.vdot(w, block @ w) - np.dot(weight_probs, diag)
+        if abs(interference.imag) >= IMAG_RESIDUE_TOL:
+            raise ArithmeticError(f"interference term has imaginary residue {interference.imag:.3e}")
+        q[n] = float(interference.real)
+    return f + q, f, q
 
 
 def partial_trace_oracle(state, keep):
@@ -190,6 +208,24 @@ class TestProspectProbabilities:
         assert np.max(np.abs(normalized.p - [1.0, 0.0])) < 1e-12
         assert np.max(np.abs(normalized.f - [0.5, 0.5])) < 1e-12
         assert np.max(np.abs(normalized.q - [0.5, -0.5])) < 1e-12
+
+    @pytest.mark.parametrize("dim_a,dim_b", [(1, 3), (2, 2), (3, 5), (4, 4), (8, 8)])
+    def test_mode_pfq_matches_block_loop(self, dim_a, dim_b):
+        for _ in range(10):
+            state = CompositeState(rho=random_density(RNG, dim_a * dim_b), dim_a=dim_a, dim_b=dim_b)
+            weights = random_weights(RNG, dim_b)
+            got = mode_pfq(state.matrix, dim_a, dim_b, weights)
+            want = mode_pfq_loop(state.matrix, dim_a, dim_b, weights)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-15
+
+    def test_mode_pfq_rejects_non_hermitian_block(self):
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[2, 3] = 1j
+        weights = ModeWeights.normalized(np.ones(2))
+        for pfq in (mode_pfq, mode_pfq_loop):
+            with pytest.raises(ArithmeticError, match="imaginary residue 5.000e-01"):
+                pfq(matrix, 2, 2, weights)
 
     def test_matches_dense_oracle(self):
         for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):

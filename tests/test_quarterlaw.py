@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qprob import quarterlaw
 from qprob.quarterlaw import (
     BetaPairDistribution,
+    QuadratureError,
     Infeasible,
     log_beta,
     pdf,
@@ -20,6 +22,27 @@ from qprob.quarterlaw import (
 RNG = np.random.default_rng(2718)
 
 shapes = st.floats(min_value=0.3, max_value=10.0, allow_nan=False)
+
+
+def adaptive_gauss_rebisect(f, lo, hi, tol):
+    """The adaptive quadrature before each panel carried its estimate: every
+    popped panel is integrated again.  Kept as the oracle of ``_adaptive_gauss``."""
+    total = 0.0
+    stack = [(lo, hi, tol, 0)]
+    while stack:
+        a, b, share, depth = stack.pop()
+        whole = quarterlaw._gauss_panel(f, a, b)
+        mid = 0.5 * (a + b)
+        left = quarterlaw._gauss_panel(f, a, mid)
+        right = quarterlaw._gauss_panel(f, mid, b)
+        if abs(left + right - whole) < share or (b - a) < 1e-15:
+            total += left + right
+        elif depth >= 60:
+            raise QuadratureError(f"no convergence on [{a}, {b}]")
+        else:
+            stack.append((a, mid, 0.5 * share, depth + 1))
+            stack.append((mid, b, 0.5 * share, depth + 1))
+    return total
 
 
 def random_symmetric_mass_distribution(rng):
@@ -168,3 +191,22 @@ class TestSolveBalanced:
     def test_rejects_degenerate_mass(self):
         with pytest.raises(ValueError, match="strictly"):
             solve_balanced(1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("p,r", [(0.3, 0.0), (1.5, -0.4), (0.05, 3.0)])
+def test_adaptive_gauss_integrates_each_panel_once(p, r):
+    """Bit-identical to the re-bisecting oracle on integrands that force
+    splits, and no panel's nodes are passed to the integrand twice."""
+
+    def integrand(t):
+        return t**p * (1.0 - t) ** r
+
+    calls = []
+
+    def recorded(t):
+        calls.append(t.tobytes())
+        return integrand(t)
+
+    got = quarterlaw._adaptive_gauss(recorded, 0.0, 0.5, 1e-11)
+    assert got == adaptive_gauss_rebisect(integrand, 0.0, 0.5, 1e-11)
+    assert len(calls) == len(set(calls)) > 3
