@@ -15,8 +15,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     SpectralDecomposition,
-    _checked_hermitian,
     as_vector,
+    checked_hermitian,
     hermitian_eigen,
     outer,
 )
@@ -31,16 +31,6 @@ def clamp_probability(p: float, dust: float = PROBABILITY_DUST) -> float:
     if not -dust <= p <= 1.0 + dust:
         raise ArithmeticError(f"probability {p!r} violates [0, 1] beyond dust threshold {dust}")
     return min(1.0, max(0.0, p))
-
-
-def clamp_probabilities(p: np.ndarray, dust: float = PROBABILITY_DUST) -> np.ndarray:
-    """Array form of :func:`clamp_probability`: the same dust rule entrywise.
-
-    Checking the two extremes suffices, and a NaN entry makes both NaN.
-    """
-    clamp_probability(float(p.min()), dust)
-    clamp_probability(float(p.max()), dust)
-    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +48,7 @@ class DensityOperator:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float) -> None:
-        m = _checked_hermitian(self.matrix, tol, "state")
+        m = checked_hermitian(self.matrix, tol)
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) >= tol:
             raise ValueError(f"state trace {tr!r} is not 1 within {tol}")

@@ -59,8 +59,7 @@ def kron(a, b) -> np.ndarray:
     entries = a.shape[0] * a.shape[1] * b.shape[0] * b.shape[1]
     if entries > MAX_KRON_ENTRIES:
         raise ValueError(f"kron result would have {entries} entries (limit {MAX_KRON_ENTRIES})")
-    # Each entry is the single product a[i, j] * b[k, l], as in np.kron.
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return np.kron(a, b)
 
 
 def adjoint(a) -> np.ndarray:
@@ -81,17 +80,17 @@ def outer(u, v) -> np.ndarray:
     return np.outer(as_vector(u), as_vector(v).conj())
 
 
-def _checked_hermitian(a, tol: float, subject: str) -> np.ndarray:
+def checked_hermitian(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``a`` as a finite square matrix, at most ``MAX_EIGEN_DIM`` wide, with
-    ``|a - a^H|`` below ``tol`` in max-norm; ``subject`` names it in errors."""
+    ``|a - a^H|`` below ``tol`` in max-norm."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{subject} must be square, got {a.shape}")
+        raise ValueError(f"expected a square matrix, got {a.shape}")
     if a.shape[0] > MAX_EIGEN_DIM:
         raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_EIGEN_DIM}")
     residual = float(np.max(np.abs(a - a.conj().T)))
     if residual >= tol:
-        raise NotHermitianError(f"{subject} is not Hermitian within {tol} (residual {residual:.3e})")
+        raise NotHermitianError(f"matrix is not Hermitian within {tol} (residual {residual:.3e})")
     return a
 
 
@@ -140,7 +139,7 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
         NoConvergenceError: the underlying iteration failed to converge.
         ValueError: non-square input or dimension above ``MAX_EIGEN_DIM``.
     """
-    a = _checked_hermitian(a, tol, "matrix")
+    a = checked_hermitian(a, tol)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -16,7 +16,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .events import DensityOperator, Observable, clamp_probabilities, clamp_probability
+from .events import DensityOperator, Observable, clamp_probability
 from .linalg import kron, outer
 from .uncertain import IMAG_RESIDUE_TOL, ModeWeights
 
@@ -157,8 +157,8 @@ def prospect_probabilities(
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown mode {mode!r}")
     p, f, q = mode_pfq(state.matrix, state.dim_a, state.dim_b, b)
-    p = clamp_probabilities(p)
-    f = clamp_probabilities(f)
+    p = np.array([clamp_probability(v) for v in p])
+    f = np.array([clamp_probability(v) for v in f])
     if mode == "raw":
         return ProspectResult(p=p, f=f, q=q, mode="raw")
     sum_p = float(p.sum())

@@ -4,7 +4,6 @@ import pytest
 from qprob.events import (
     DensityOperator,
     Observable,
-    clamp_probabilities,
     clamp_probability,
     event_probability,
     projector,
@@ -82,18 +81,16 @@ class TestClampProbability:
         with pytest.raises(ArithmeticError, match="nan"):
             clamp_probability(float("nan"))
 
-    def test_array_rejects_nan(self):
+    def test_scalar_rejects_numpy_nan(self):
         with pytest.raises(ArithmeticError, match="nan"):
-            clamp_probabilities(np.array([0.5, float("nan")]))
+            clamp_probability(np.float64("nan"))
 
-    def test_array_form_matches_scalar_form(self):
-        p = np.array([-1e-10, 0.0, 0.25, 1.0, 1.0 + 1e-10])
-        assert np.array_equal(clamp_probabilities(p), [clamp_probability(v) for v in p])
+    def test_dust_is_clamped_and_excess_rejected(self):
+        for v, want in ((-1e-10, 0.0), (0.0, 0.0), (0.25, 0.25), (1.0, 1.0), (1.0 + 1e-10, 1.0)):
+            assert clamp_probability(v) == want
         for bad in (-2e-9, 1.0 + 2e-9, float("inf"), -float("inf")):
             with pytest.raises(ArithmeticError, match="dust"):
                 clamp_probability(bad)
-            with pytest.raises(ArithmeticError, match="dust"):
-                clamp_probabilities(np.array([0.5, bad]))
 
 
 class TestProjector:

@@ -53,13 +53,6 @@ class TestKron:
         a, b = random_complex_matrix(3), random_complex_matrix(3)
         assert trace(kron(a, b)) == pytest.approx(trace(a) * trace(b), abs=1e-12)
 
-    @pytest.mark.parametrize("shape_a,shape_b", [((3, 3), (2, 2)), ((2, 3), (4, 1)), ((1, 5), (3, 2)), ((4, 2), (1, 1))])
-    def test_bit_identical_to_numpy(self, shape_a, shape_b):
-        a, b = random_complex_matrix(*shape_a), random_complex_matrix(*shape_b)
-        got, want = kron(a, b), np.kron(a, b)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
     def test_size_guard(self):
         big = np.ones((1100, 1100))
         with pytest.raises(ValueError, match="entries"):
