@@ -77,13 +77,10 @@ class TestDensityOperator:
 
 
 class TestClampProbability:
-    def test_scalar_rejects_nan(self):
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")], ids=["float", "float64"])
+    def test_scalar_rejects_nan(self, nan):
         with pytest.raises(ArithmeticError, match="nan"):
-            clamp_probability(float("nan"))
-
-    def test_scalar_rejects_numpy_nan(self):
-        with pytest.raises(ArithmeticError, match="nan"):
-            clamp_probability(np.float64("nan"))
+            clamp_probability(nan)
 
     def test_dust_is_clamped_and_excess_rejected(self):
         for v, want in ((-1e-10, 0.0), (0.0, 0.0), (0.25, 0.25), (1.0, 1.0), (1.0 + 1e-10, 1.0)):
