@@ -82,35 +82,38 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
-#: Config keys by JSON type; a bool is neither an integer nor a number.  Null
-#: is accepted only where the default is null.
-_TYPED_KEYS = (
-    (("paths", "stride", "seed", "m", "dim"), int, "an integer"),
-    (("b", "sigma", "s0", "x0", "dt", "tmax"), (int, float), "a number"),
-    (("plot", "strict", "corrupt-state"), bool, "true or false"),
-)
+def _has_type(value: Any, kind: Any) -> bool:
+    """Whether a JSON value is of an option type (see :data:`_COMMANDS`)."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _effective_config(defaults: dict[str, Any], config: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
-    """Merge defaults < config file < explicitly given flags, and check the types."""
-    unknown = set(config) - set(defaults)
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list of strings"}
+
+
+def _effective_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
+    """Merge defaults < config file < given flags, check every value's type,
+    and take a null seed from ``QPROB_SEED``."""
+    options = _COMMANDS[command][2]
+    config = _load_config(args.config)
+    unknown = set(config) - {name for name, *_ in options}
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged = dict(defaults)
-    merged.update(config)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            merged[key] = value
-    for keys, kind, name in _TYPED_KEYS:
-        for key in keys:
-            value = merged.get(key)
-            if value is None and defaults.get(key) is None:
-                continue
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise CliError(f"{key} must be {name}, got {value!r}")
-    if not isinstance(merged.get("rows", []), list):
-        raise CliError(f"rows must be a list of alpha,beta,mu,nu,lambda_plus strings, got {merged['rows']!r}")
+    merged = {}
+    for name, kind, default, _ in options:
+        flag = getattr(args, name.replace("-", "_"))
+        value = config.get(name, default) if flag is None else flag
+        if not (value is None and default is None or _has_type(value, kind)):
+            expected = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES[kind]
+            raise CliError(f"{name} must be {expected}, got {value!r}")
+        merged[name] = value
+    if "seed" in merged and merged["seed"] is None:
+        merged["seed"] = _env_seed()
     return merged
 
 
@@ -118,15 +121,23 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json_report(path: str | None, report: dict[str, Any]) -> None:
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise FloatingPointError(f"report holds a non-finite value: {exc}") from exc
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    _write_text(path, text)
 
 
 def _report_skeleton(command: str, config: dict[str, Any]) -> dict[str, Any]:
@@ -161,15 +172,19 @@ def _parse_weights(text: str, strict: bool) -> ModeWeights:
 def _matrix_from_json(obj: dict[str, Any], path: str) -> np.ndarray:
     if "matrix_re" not in obj:
         raise CliError(f"state file {path} lacks the 'matrix_re' field")
-    re = np.asarray(obj["matrix_re"], dtype=float)
-    im_raw = obj.get("matrix_im")
-    im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
+    try:
+        re = np.asarray(obj["matrix_re"], dtype=float)
+        im_raw = obj.get("matrix_im")
+        im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"state file {path} holds a non-numeric matrix: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise CliError(f"state file {path} must hold square real/imaginary parts of equal shape")
     return re + 1j * im
 
 
-def _load_state_file(path: str) -> tuple[np.ndarray, int | None, int | None]:
+def _load_state_file(path: str) -> tuple[np.ndarray, dict[str, Any]]:
+    """The matrix of a state file, and the file's JSON object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -177,20 +192,14 @@ def _load_state_file(path: str) -> tuple[np.ndarray, int | None, int | None]:
         raise CliError(f"cannot read state file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise CliError(f"state file {path} must hold a JSON object")
-    matrix = _matrix_from_json(obj, path)
-    return matrix, obj.get("dim_a"), obj.get("dim_b")
+    return _matrix_from_json(obj, path), obj
 
 
 # ---------------------------------------------------------------- measure
 
 
-_MEASURE_DEFAULTS: dict[str, Any] = {"state": "maxmix", "dim": 2, "out": None, "seed": None}
-
-
-def _cmd_measure(args: argparse.Namespace) -> int:
-    config = _effective_config(_MEASURE_DEFAULTS, _load_config(args.config), args)
-    seed = config["seed"] if config["seed"] is not None else _env_seed()
-    spec = str(config["state"])
+def _cmd_measure(config: dict[str, Any]) -> int:
+    spec = config["state"]
     dim = config["dim"]
     if dim < 1:
         raise CliError(f"dimension must be positive, got {dim}")
@@ -201,12 +210,11 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         elif spec.startswith("pure:"):
             rho = DensityOperator.pure(_parse_complex_list(spec[5:]))
         elif spec.startswith("file:"):
-            matrix, _, _ = _load_state_file(spec[5:])
-            rho = DensityOperator(matrix)
+            rho = DensityOperator(_load_state_file(spec[5:])[0])
         elif spec == "maxmix":
             rho = DensityOperator.maximally_mixed(dim)
         elif spec == "random":
-            rho = random_density(np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF), dim)
+            rho = random_density(np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF), dim)
         else:
             raise CliError(f"unknown state spec {spec!r}; use diag:..., pure:..., file:..., maxmix or random")
     except ValueError as exc:
@@ -214,7 +222,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     obs = Observable.standard(rho.dim)
     probabilities = [event_probability(rho, obs, n) for n in range(rho.dim)]
     total = float(sum(probabilities))
-    config["seed"] = seed
     report = _report_skeleton("measure", config)
     report["result"] = {
         "probabilities": probabilities,
@@ -231,52 +238,36 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- prospect
 
 
-_PROSPECT_DEFAULTS: dict[str, Any] = {
-    "preset": "bell-like",
-    "m": 2,
-    "state-file": None,
-    "weights": None,
-    "strict": False,
-    "mode": "raw",
-    "out": None,
-    "seed": None,
-}
-
-
-def _prospect_state_from_config(config: dict[str, Any], seed: int) -> CompositeState:
-    preset = str(config["preset"])
+def _prospect_state_from_config(config: dict[str, Any]) -> CompositeState:
+    preset = config["preset"]
     if preset == "bell-like":
         amplitudes = np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128)
         return CompositeState(rho=DensityOperator.pure(amplitudes), dim_a=2, dim_b=2)
     if preset == "max-entangled":
         return max_entangled_state(config["m"])
     if preset == "product":
-        rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+        rng = np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF)
         return product_state(random_density(rng, config["m"]), random_density(rng, config["m"]))
-    if preset == "file":
-        path = config["state-file"]
-        if not path:
-            raise CliError("preset 'file' needs --state-file")
-        matrix, dim_a, dim_b = _load_state_file(path)
-        if dim_a is None or dim_b is None:
-            raise CliError(f"state file {path} must carry 'dim_a' and 'dim_b'")
-        try:
-            return CompositeState(rho=DensityOperator(matrix), dim_a=int(dim_a), dim_b=int(dim_b))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    raise CliError(f"unknown preset {preset!r}; use product, max-entangled, bell-like or file")
+    path = config["state-file"]
+    if not path:
+        raise CliError("preset 'file' needs --state-file")
+    matrix, obj = _load_state_file(path)
+    for field in ("dim_a", "dim_b"):
+        if not _has_type(obj.get(field), int):
+            raise CliError(f"state file {path}: {field} must be an integer, got {obj.get(field)!r}")
+    try:
+        return CompositeState(rho=DensityOperator(matrix), dim_a=obj["dim_a"], dim_b=obj["dim_b"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
-def _cmd_prospect(args: argparse.Namespace) -> int:
-    config = _effective_config(_PROSPECT_DEFAULTS, _load_config(args.config), args)
-    seed = config["seed"] if config["seed"] is not None else _env_seed()
-    config["seed"] = seed
-    state = _prospect_state_from_config(config, seed)
+def _cmd_prospect(config: dict[str, Any]) -> int:
+    state = _prospect_state_from_config(config)
     if config["weights"] is None:
         weights = ModeWeights.normalized(np.ones(state.dim_b))
         config["weights"] = ",".join("1" for _ in range(state.dim_b))
     else:
-        weights = _parse_weights(str(config["weights"]), config["strict"])
+        weights = _parse_weights(config["weights"], config["strict"])
     if weights.dim != state.dim_b:
         raise CliError(f"weight length {weights.dim} does not match second factor {state.dim_b}")
 
@@ -291,7 +282,6 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
     }
     report = _report_skeleton("prospect", config)
     report["result"] = {
-        "mode": config["mode"],
         "raw": {"p": raw.p.tolist(), "f": raw.f.tolist(), "q": raw.q.tolist()},
         "normalized": {
             "p": normalized.p.tolist(),
@@ -307,18 +297,9 @@ def _cmd_prospect(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ quarter-law
 
 
-_QUARTER_DEFAULTS: dict[str, Any] = {
-    "symmetric": "0.5,1,2,5",
-    "rows": [],
-    "out": None,
-    "report": None,
-}
-
-
-def _cmd_quarter_law(args: argparse.Namespace) -> int:
-    config = _effective_config(_QUARTER_DEFAULTS, _load_config(args.config), args)
+def _cmd_quarter_law(config: dict[str, Any]) -> int:
     table: list[tuple[float, float, float, float, float]] = []
-    symmetric = str(config["symmetric"]).strip()
+    symmetric = config["symmetric"].strip()
     if symmetric:
         for part in symmetric.split(","):
             try:
@@ -327,7 +308,7 @@ def _cmd_quarter_law(args: argparse.Namespace) -> int:
                 raise CliError(f"bad symmetric shape {part!r}") from exc
             table.append((alpha, alpha, alpha, alpha, 0.5))
     for row in config["rows"]:
-        parts = [p for p in str(row).split(",") if p.strip()]
+        parts = [p for p in row.split(",") if p.strip()]
         if len(parts) != 5:
             raise CliError(f"--row needs alpha,beta,mu,nu,lambda_plus, got {row!r}")
         try:
@@ -354,14 +335,9 @@ def _cmd_quarter_law(args: argparse.Namespace) -> int:
                 for v in (alpha, beta, mu, nu, lambda_plus, split.q_plus, split.q_minus, residual)
             )
         )
-    text = "\n".join(lines) + "\n"
-    if config["out"] is None:
-        sys.stdout.write(text)
-    else:
-        Path(config["out"]).write_text(text, encoding="utf-8")
+    _write_text(config["out"], "\n".join(lines) + "\n")
     if config["report"] is not None:
-        report = _report_skeleton("quarter-law", {k: v for k, v in config.items() if k != "rows"})
-        report["config"]["rows"] = list(config["rows"])
+        report = _report_skeleton("quarter-law", config)
         report["result"] = {"rows_written": len(table), "csv": config["out"]}
         _write_json_report(config["report"], report)
     return EXIT_OK
@@ -370,26 +346,7 @@ def _cmd_quarter_law(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bec-sim
 
 
-_BEC_DEFAULTS: dict[str, Any] = {
-    "b": 0.25,
-    "s0": -0.9,
-    "x0": 0.0,
-    "sigma": 0.1,
-    "dt": 1e-3,
-    "tmax": 100.0,
-    "paths": 2000,
-    "stride": 100,
-    "seed": None,
-    "out": None,
-    "report": None,
-    "plot": False,
-}
-
-
-def _cmd_bec_sim(args: argparse.Namespace) -> int:
-    config = _effective_config(_BEC_DEFAULTS, _load_config(args.config), args)
-    seed = config["seed"] if config["seed"] is not None else _env_seed()
-    config["seed"] = seed
+def _cmd_bec_sim(config: dict[str, Any]) -> int:
     stride = config["stride"]
     if stride < 1:
         raise CliError(f"stride must be positive, got {stride}")
@@ -404,14 +361,14 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
             dt=float(config["dt"]),
             t_max=float(config["tmax"]),
             n_paths=config["paths"],
-            seed=seed,
+            seed=config["seed"],
         )
         bc = becsim.critical_amplitude(params.s0, params.x0)
         regime = becsim.regime_classify(params.b, params.s0, params.x0)
     except becsim.DenominatorVanishes as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
         raise CliError(str(exc)) from exc
 
     result = becsim.ensemble_interference(params, workers=_env_workers())
@@ -428,11 +385,7 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
                 )
             )
         )
-    text = "\n".join(lines) + "\n"
-    if config["out"] is None:
-        sys.stdout.write(text)
-    else:
-        Path(config["out"]).write_text(text, encoding="utf-8")
+    _write_text(config["out"], "\n".join(lines) + "\n")
 
     svg_path = None
     if config["plot"]:
@@ -445,7 +398,7 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
             result.times[:: stride], result.q1[:: stride],
             title=caption, x_label="dimensionless time", y_label="q1(t)",
         )
-        Path(svg_path).write_text(svg, encoding="utf-8")
+        _write_text(svg_path, svg)
 
     report = _report_skeleton("bec-sim", config)
     report["meta"]["kernel"] = becsim.KERNEL
@@ -468,27 +421,13 @@ def _cmd_bec_sim(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- verify
 
 
-_VERIFY_DEFAULTS: dict[str, Any] = {
-    "filter": None,
-    "seed": None,
-    "out": None,
-    "corrupt-state": False,
-}
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _effective_config(_VERIFY_DEFAULTS, _load_config(args.config), args)
-    seed = config["seed"] if config["seed"] is not None else _env_seed()
-    config["seed"] = seed
-    try:
-        results = verify.run_checks(
-            seed,
-            group_filter=config["filter"],
-            corrupt=config["corrupt-state"],
-            workers=_env_workers(),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _cmd_verify(config: dict[str, Any]) -> int:
+    results = verify.run_checks(
+        config["seed"],
+        group_filter=config["filter"],
+        corrupt=config["corrupt-state"],
+        workers=_env_workers(),
+    )
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         sys.stdout.write(f"{status} {result.group}/{result.name}: {result.detail}\n")
@@ -514,80 +453,83 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main
 
 
+#: Every subcommand: its handler, its help and its options, each option once
+#: as (name, type, default, help).  The name is both the config key and the
+#: flag; a ``list`` option is a repeatable flag named in the singular.  The
+#: type binds flags and config values alike: ``int``, ``float`` (any JSON
+#: number), ``bool``, ``str``, ``list`` (of strings) or a tuple of the allowed
+#: strings.  A bool is no number, and null passes only where the default is null.
+_COMMANDS: dict[str, tuple[Any, str, tuple[tuple[str, Any, Any, str], ...]]] = {
+    "measure": (_cmd_measure, "projective outcome probabilities of a state", (
+        ("state", str, "maxmix", "diag:p1,p2,... | pure:c1,c2,... | file:PATH | maxmix | random"),
+        ("dim", int, 2, "dimension for maxmix/random states"),
+        ("seed", int, None, "seed for the random state spec"),
+        ("out", str, None, "write the JSON report here instead of stdout"),
+    )),
+    "prospect": (_cmd_prospect, "composite-event probability families p, f, q", (
+        ("preset", ("product", "max-entangled", "bell-like", "file"), "bell-like", "composite state"),
+        ("m", int, 2, "modes per factor for max-entangled/product presets"),
+        ("state-file", str, None, "composite state JSON for preset 'file'"),
+        ("weights", str, None, "comma-separated complex amplitudes over the second factor"),
+        ("strict", bool, False, "reject weights whose squared sum is not 1 instead of normalizing"),
+        ("seed", int, None, "seed for the product preset"),
+        ("out", str, None, "write the JSON report here instead of stdout"),
+    )),
+    "quarter-law": (_cmd_quarter_law, "tabulate interference-distribution moments", (
+        ("symmetric", str, "0.5,1,2,5", "comma list of shapes tabulated as symmetric rows"),
+        ("rows", list, [], "explicit alpha,beta,mu,nu,lambdaPlus row (repeatable)"),
+        ("out", str, None, "CSV output path (stdout otherwise)"),
+        ("report", str, None, "optional JSON report path"),
+    )),
+    "bec-sim": (_cmd_bec_sim, "two-mode condensate ensemble simulation", (
+        ("b", float, 0.25, "pumping amplitude"),
+        ("s0", float, -0.9, "initial population imbalance"),
+        ("x0", float, 0.0, "initial phase difference"),
+        ("sigma", float, 0.1, "phase noise strength"),
+        ("dt", float, 1e-3, "time step"),
+        ("tmax", float, 100.0, "horizon"),
+        ("paths", int, 2000, "ensemble size"),
+        ("stride", int, 100, "emit every stride-th step"),
+        ("seed", int, None, "seed of the noise stream"),
+        ("out", str, None, "CSV output path (stdout otherwise)"),
+        ("report", str, None, "JSON report path"),
+        ("plot", bool, False, "emit an SVG of q1(t) next to the CSV"),
+    )),
+    "verify": (_cmd_verify, "run the library invariant suites", (
+        ("filter", verify.GROUPS, None, "restrict to one check group"),
+        ("seed", int, None, "seed of the check streams"),
+        ("out", str, None, "JSON report path"),
+        ("corrupt-state", bool, False, "test-only: inject a fault to exercise the failure path"),
+    )),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qprob",
         description="Quantum probabilities for multimode systems: measurements, prospects, interference and condensate dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    measure = sub.add_parser("measure", help="projective outcome probabilities of a state")
-    measure.add_argument("--config", help="JSON config file")
-    measure.add_argument("--state", help="diag:p1,p2,... | pure:c1,c2,... | file:PATH | maxmix | random")
-    measure.add_argument("--dim", type=int, help="dimension for maxmix/random states")
-    measure.add_argument("--seed", type=int, help="seed for the random state spec")
-    measure.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    prospect = sub.add_parser("prospect", help="composite-event probability families p, f, q")
-    prospect.add_argument("--config", help="JSON config file")
-    prospect.add_argument("--preset", choices=["product", "max-entangled", "bell-like", "file"])
-    prospect.add_argument("--m", type=int, help="modes per factor for max-entangled/product presets")
-    prospect.add_argument("--state-file", dest="state_file", help="composite state JSON for preset 'file'")
-    prospect.add_argument("--weights", help="comma-separated complex amplitudes over the second factor")
-    prospect.add_argument("--strict", action="store_true", default=None,
-                          help="reject weights whose squared sum is not 1 instead of normalizing")
-    group = prospect.add_mutually_exclusive_group()
-    group.add_argument("--normalized", dest="mode", action="store_const", const="normalized")
-    group.add_argument("--raw", dest="mode", action="store_const", const="raw")
-    prospect.add_argument("--seed", type=int)
-    prospect.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    quarter = sub.add_parser("quarter-law", help="tabulate interference-distribution moments")
-    quarter.add_argument("--config", help="JSON config file")
-    quarter.add_argument("--symmetric", help="comma list of shapes tabulated as symmetric rows")
-    quarter.add_argument("--row", dest="rows", action="append",
-                         help="explicit alpha,beta,mu,nu,lambdaPlus row (repeatable)")
-    quarter.add_argument("--out", help="CSV output path (stdout otherwise)")
-    quarter.add_argument("--report", help="optional JSON report path")
-
-    bec = sub.add_parser("bec-sim", help="two-mode condensate ensemble simulation")
-    bec.add_argument("--config", help="JSON config file")
-    bec.add_argument("--b", type=float, help="pumping amplitude")
-    bec.add_argument("--s0", type=float, help="initial population imbalance")
-    bec.add_argument("--x0", type=float, help="initial phase difference")
-    bec.add_argument("--sigma", type=float, help="phase noise strength")
-    bec.add_argument("--dt", type=float, help="time step")
-    bec.add_argument("--tmax", type=float, help="horizon")
-    bec.add_argument("--paths", type=int, help="ensemble size")
-    bec.add_argument("--stride", type=int, help="emit every stride-th step")
-    bec.add_argument("--seed", type=int)
-    bec.add_argument("--out", help="CSV output path (stdout otherwise)")
-    bec.add_argument("--report", help="JSON report path")
-    bec.add_argument("--plot", action="store_true", default=None,
-                     help="emit an SVG of q1(t) next to the CSV")
-
-    ver = sub.add_parser("verify", help="run the library invariant suites")
-    ver.add_argument("--config", help="JSON config file")
-    ver.add_argument("--filter", choices=list(verify.GROUPS), help="restrict to one check group")
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--out", help="JSON report path")
-    ver.add_argument("--corrupt-state", dest="corrupt_state", action="store_true", default=None,
-                     help="test-only: inject a fault to exercise the failure path")
+    for command, (_, command_help, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=command_help)
+        for name, kind, _, option_help in (("config", str, None, "JSON config file"), *options):
+            if kind is bool:
+                spec = {"action": "store_true", "default": None}
+            elif kind is list:
+                spec = {"action": "append", "dest": name}
+                name = name.removesuffix("s")
+            elif isinstance(kind, tuple):
+                spec = {"choices": kind}
+            else:
+                spec = {"type": None if kind is str else kind}
+            cmd.add_argument(f"--{name}", help=option_help, **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "measure": _cmd_measure,
-        "prospect": _cmd_prospect,
-        "quarter-law": _cmd_quarter_law,
-        "bec-sim": _cmd_bec_sim,
-        "verify": _cmd_verify,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][0](_effective_config(args.command, args))
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

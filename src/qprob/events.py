@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     SpectralDecomposition,
     as_vector,
+    check_dim,
     checked_hermitian,
     hermitian_eigen,
     outer,
@@ -84,6 +85,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        check_dim(dim)
         return cls(np.eye(dim, dtype=np.complex128) / dim)
 
 
@@ -144,8 +146,8 @@ def event_probability(rho: DensityOperator, obs: Observable, n: int) -> float:
 def union_probability(rho: DensityOperator, obs: Observable, indices: Iterable[int]) -> float:
     """Probability of the standard (orthogonal, additive) union of outcomes.
 
-    Computed as the trace of rho against the summed projector; additivity
-    against the per-outcome sum is a property, not an implementation detail.
+    Computed as the sum of v^H rho v over the selected eigenvectors, which is
+    the trace of rho against the summed projector without building it.
     """
     idx = list(indices)
     if len(set(idx)) != len(idx):
@@ -155,10 +157,8 @@ def union_probability(rho: DensityOperator, obs: Observable, indices: Iterable[i
             raise IndexError(f"mode index {n} out of range for dimension {obs.dim}")
     if not idx:
         return 0.0
-    summed = np.zeros((obs.dim, obs.dim), dtype=np.complex128)
-    for n in idx:
-        summed += obs.spectral.projector(n)
-    p = np.trace(rho.matrix @ summed)
+    v = obs.spectral.eigenvectors[:, idx]
+    p = np.sum(v.conj() * (rho.matrix @ v))
     return clamp_probability(float(p.real))
 
 

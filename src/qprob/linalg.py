@@ -80,14 +80,22 @@ def outer(u, v) -> np.ndarray:
     return np.outer(as_vector(u), as_vector(v).conj())
 
 
+def check_dim(dim: int) -> None:
+    """Refuse a dimension below 1 or above ``MAX_EIGEN_DIM``; constructors call
+    it before they allocate a matrix of that size."""
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    if dim > MAX_EIGEN_DIM:
+        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_EIGEN_DIM}")
+
+
 def checked_hermitian(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``a`` as a finite square matrix, at most ``MAX_EIGEN_DIM`` wide, with
     ``|a - a^H|`` below ``tol`` in max-norm."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
-    if a.shape[0] > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_EIGEN_DIM}")
+    check_dim(a.shape[0])
     residual = float(np.max(np.abs(a - a.conj().T)))
     if residual >= tol:
         raise NotHermitianError(f"matrix is not Hermitian within {tol} (residual {residual:.3e})")

@@ -17,7 +17,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .events import DensityOperator, Observable, clamp_probability
-from .linalg import kron, outer
+from .linalg import check_dim, kron, outer
 from .uncertain import IMAG_RESIDUE_TOL, ModeWeights
 
 
@@ -189,11 +189,10 @@ def max_entangled_state(m: int) -> CompositeState:
     """
     if m < 2:
         raise ValueError(f"need at least two modes, got {m}")
+    check_dim(m * m)
     matrix = np.zeros((m * m, m * m), dtype=np.complex128)
-    doubled = [k * m + k for k in range(m)]
-    for i in doubled:
-        for j in doubled:
-            matrix[i, j] = 1.0 / m
+    doubled = np.arange(m) * (m + 1)
+    matrix[np.ix_(doubled, doubled)] = 1.0 / m
     return CompositeState(rho=DensityOperator(matrix), dim_a=m, dim_b=m)
 
 

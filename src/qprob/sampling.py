@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .events import DensityOperator, Observable
-from .linalg import outer
+from .linalg import check_dim, outer
 from .prospects import CompositeState
 from .uncertain import ModeWeights
 
@@ -23,6 +23,7 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     """Full-support mixed state: simplex-weighted mixture of dim pure states."""
+    check_dim(dim)
     weights = rng.dirichlet(np.ones(dim))
     matrix = np.zeros((dim, dim), dtype=np.complex128)
     for w in weights:

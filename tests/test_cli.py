@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qprob import becsim, cli
+from qprob.linalg import MAX_EIGEN_DIM
 
 
 def run(argv, capsys):
@@ -345,6 +348,125 @@ def test_bec_sim_fuzz_exits_cleanly(b, sigma, s0, x0, paths, tmax):
                 assert "nan" not in path.read_text().lower()
 
 
+#: Strings that mean something to some option, and short ones that mean
+#: nothing.  None of them holds a slash, so a string used as a path names a
+#: file in the example's own working directory.
+_STRINGS = st.one_of(
+    st.sampled_from([
+        "", ".", "maxmix", "random", "diag:0.5,0.5", "diag:nan,1", "pure:1,1j", "pure:1e-320",
+        "file:missing", "file:.", "nan", "inf", "-1", "0.5,1", "1,0", "1e-300,0", "1,1,1,1,0.5",
+        "2,1,4,5,0.4", "1e300,1,1,1,0.5", "nan,1,1,1,0.5", "1,1,1,1,inf", "out.csv",
+    ]),
+    st.text(st.sampled_from("0123456789.,:-+ejnaif"), max_size=12),
+)
+#: Numbers of every JSON kind.  No float lies in (0, 1e-3), so a drawn time
+#: step never asks bec-sim for millions of steps below its step cap.
+_NUMBERS = st.one_of(
+    st.integers(-3, 70),
+    st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 2**64, 10**30, -(10**400)]),
+)
+_HUGE_INTS = st.sampled_from([2**64, 10**30, -(10**400)])
+_RIGHT_TYPE = {
+    int: st.one_of(st.integers(-3, 70), _HUGE_INTS),
+    float: _NUMBERS,
+    bool: st.booleans(),
+    str: _STRINGS,
+    list: st.lists(_STRINGS, max_size=3),
+}
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, _STRINGS,
+    st.lists(st.one_of(_NUMBERS, _STRINGS), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), _NUMBERS, max_size=1),
+)
+#: The verify groups that run in well under a second.
+_CHEAP_GROUPS = ["events", "uncertain", "prospects", "quarterlaw"]
+
+
+def _right_type(kind):
+    return st.sampled_from(kind) if isinstance(kind, tuple) else _RIGHT_TYPE[kind]
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"JSON output holds {token}")
+
+
+def _assert_finite_output(text):
+    """No NaN or infinity in an output.  JSON is parsed, since a report may
+    echo an input string such as "nan"; other outputs carry no input text."""
+    try:
+        json.loads(text, parse_constant=_refuse_constant)
+    except json.JSONDecodeError:
+        assert re.search(r"\b(nan|inf)\b", text, re.IGNORECASE) is None, text
+
+
+def _run_clean(argv, allowed=(0, 2, 3)):
+    """Run the CLI in a fresh working directory; check its exit code, that
+    nothing printed a traceback, and that every output is finite."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refused a flag
+                    code = exc.code
+            event(f"exit {code}")
+            assert code in allowed, (argv, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            _assert_finite_output(out.getvalue())
+            for path in Path(tmp).iterdir():
+                if path.is_file():
+                    _assert_finite_output(path.read_text())
+        finally:
+            os.chdir(cwd)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_exits_cleanly(command, data):
+    # each value is drawn from its option's row in the table: mostly the right type
+    options = cli._COMMANDS[command][2]
+    chosen = data.draw(st.lists(st.sampled_from(options), unique_by=lambda row: row[0], max_size=4))
+    config = {name: data.draw(_mostly(_right_type(kind), _ANY_JSON), label=name) for name, kind, _, _ in chosen}
+    pinned = []
+    if command == "bec-sim":
+        pinned = ["--tmax", repr(data.draw(st.floats(0.01, 0.05))), "--paths", str(data.draw(st.integers(2, 8)))]
+    elif command == "verify":
+        pinned = ["--filter", data.draw(st.sampled_from(_CHEAP_GROUPS))]
+    allowed = (0, 1, 2, 3) if command == "verify" and config.get("corrupt-state") is True else (0, 2, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        _run_clean([command, "--config", str(config_path), *pinned], allowed)
+
+
+def _flag_text(kind):
+    """A flag value as text: mostly one of the option's type, else any string."""
+    return _mostly(_RIGHT_TYPE[int].map(str) if kind is int else _right_type(kind), _STRINGS)
+
+
+@pytest.mark.parametrize("command", ["measure", "prospect", "quarter-law", "verify"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_flag_fuzz_exits_cleanly(command, data):
+    argv = [command]
+    for name, kind, _, _ in cli._COMMANDS[command][2]:
+        if command == "verify" and name == "filter":
+            argv.append(f"--filter={data.draw(st.sampled_from(_CHEAP_GROUPS))}")
+        elif kind is bool:
+            if data.draw(st.booleans(), label=name):
+                argv.append(f"--{name}")
+        elif kind is list:
+            argv += [f"--row={row}" for row in data.draw(st.lists(_flag_text(str), max_size=3), label=name)]
+        elif data.draw(st.booleans()):
+            argv.append(f"--{name}={data.draw(_flag_text(kind), label=name)}")
+    _run_clean(argv, (0, 1, 2, 3) if "--corrupt-state" in argv else (0, 2, 3))
+
+
 @pytest.mark.parametrize(
     "command,config,field",
     [
@@ -366,6 +488,16 @@ def test_bec_sim_fuzz_exits_cleanly(b, sigma, s0, x0, paths, tmax):
         (["bec-sim", "--tmax", "0.01"], {"paths": None}, "paths"),
         (["prospect"], {"strict": 1}, "strict"),
         (["verify"], {"corrupt-state": "false"}, "corrupt-state"),
+        (["measure"], {"out": 5}, "out"),
+        (["measure"], {"out": True}, "out"),
+        (["quarter-law"], {"report": 7}, "report"),
+        (["prospect", "--preset", "file"], {"state-file": 3}, "state-file"),
+        (["prospect"], {"weights": 5}, "weights"),
+        (["measure"], {"state": 5}, "state"),
+        (["quarter-law"], {"symmetric": 1}, "symmetric"),
+        (["prospect"], {"preset": 5}, "preset"),
+        (["verify"], {"filter": 5}, "filter"),
+        (["quarter-law"], {"rows": [5]}, "rows"),
     ],
 )
 def test_config_value_of_wrong_type_fails_validation(capsys, tmp_path, command, config, field):
@@ -384,6 +516,51 @@ def test_config_integers_are_numbers(capsys, tmp_path):
     code, out, err = run(["bec-sim", "--config", str(config_path)], capsys)
     assert code == 0, err
     assert out.startswith("t,")
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"dim_a": 1.5, "dim_b": 2}, "dim_a must be an integer"),
+        ({"dim_a": 1, "dim_b": True}, "dim_b must be an integer"),
+        ({"dim_b": 2}, "dim_a must be an integer"),
+        ({"matrix_re": {"a": 1}, "dim_a": 1, "dim_b": 2}, "non-numeric matrix"),
+    ],
+)
+def test_state_file_field_of_wrong_type_fails_validation(capsys, tmp_path, fields, message):
+    # a 2 x 2 matrix, which a truncated dim_a = 1 would accept as a 1 x 2 composite
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"matrix_re": [[0.5, 0.0], [0.0, 0.5]], **fields}))
+    code, out, err = run(["prospect", "--preset", "file", "--state-file", str(state_path)], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--state", "maxmix", "--dim", "1000000"],
+        ["measure", "--state", "random", "--dim", "1000000"],
+        ["prospect", "--preset", "max-entangled", "--m", "1000"],
+        ["prospect", "--preset", "product", "--m", "1000000"],
+    ],
+)
+def test_oversized_dimension_refused_before_allocating(capsys, argv):
+    # each size would need terabytes; the cap is checked before any allocation
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert f"exceeds supported maximum {MAX_EIGEN_DIM}" in err
+    assert out == ""
+
+
+def test_config_integer_beyond_float_range_fails_validation(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"b": 10**400, "tmax": 0.01, "paths": 2}))
+    code, out, err = run(["bec-sim", "--config", str(config_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "too large" in err
+    assert out == ""
 
 
 class TestVerify:
