@@ -56,6 +56,12 @@ _NOISE_BLOCK = 512
 #: acceptance suite; the noiseless curve alone then takes 160 MB.
 MAX_STEPS = 10**7
 
+#: Largest path count a run may ask for, checked before anything is
+#: allocated.  It is 250 times the 4,000 paths of the largest ensemble in the
+#: acceptance suite; at the default 1e5 steps such a run is 1e11 path-steps,
+#: about three hours of one CPU at 100 ns a path-step.
+MAX_PATHS = 10**6
+
 #: The scheme of every noisy path, as named in reports.
 KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
 
@@ -80,7 +86,8 @@ class BecParams:
     """Integration setup: dynamics, grid, ensemble size and seed.
 
     Times are dimensionless; the horizon is realized as round(t_max/dt)
-    steps of exactly dt, at most :data:`MAX_STEPS` of them.
+    steps of exactly dt, at most :data:`MAX_STEPS` of them, and at most
+    :data:`MAX_PATHS` paths are run.
     """
 
     b: float
@@ -115,6 +122,8 @@ class BecParams:
             raise ValueError(f"noise strength must be nonnegative, got {self.sigma!r}")
         if self.n_paths < 1:
             raise ValueError(f"need at least one path, got {self.n_paths!r}")
+        if self.n_paths > MAX_PATHS:
+            raise ValueError(f"{self.n_paths!r} paths asked for; at most {MAX_PATHS} are allowed")
 
     @property
     def n_steps(self) -> int:
@@ -338,7 +347,8 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = Fa
                 add(k1, k4, k1)
                 mul(k1, sixth, k1)
                 k += 1
-                u0, v0 = float(u[0]), float(v[0])
+                if phase:
+                    u0, v0 = float(u[0]), float(v[0])
                 add(y, k1, y)
                 if phase:
                     u1, v1 = float(u[0]), float(v[0])

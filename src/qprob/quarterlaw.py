@@ -10,8 +10,8 @@ density gives closed forms for the expected positive part
 and its negative mirror ``q_minus = -mu * lambda_minus / (mu + nu)``.  Under
 the symmetry lambda_plus = lambda_minus = 1/2 with alpha = beta and mu = nu
 both collapse to +-1/4 for any positive shapes: the quarter law.  The
-numerical route recomputes both moments by adaptive quadrature so closed
-form and quadrature check each other.
+numerical route recomputes both moments by adaptive quadrature in t = u^c,
+where the endpoint weight is polynomial, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -230,16 +230,16 @@ def _adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
 def _half_piece(p: float, r: float, tol: float) -> float:
     """integral over [0, 1/2] of t^p (1-t)^r dt for p, r > -1.
 
-    For p < 0 the integrable endpoint singularity is removed analytically by
-    the substitution u = t^(p+1), which turns t^p dt into du / (p+1); for
-    p >= 0 the integrand is evaluated directly and adaptivity absorbs the
-    remaining mild non-smoothness of fractional powers.
+    t = u^c, with m = min(20, ceil(20 (p+1))) and c = max(1, m/(p+1)), turns
+    t^p dt into c u^(m-1) du for p < 19: one 20-point panel integrates that
+    weight exactly, so no panel is bisected toward u = 0 (Davis & Rabinowitz,
+    Methods of Numerical Integration).  For p >= 19, c = 1; as p -> -1,
+    u = t^(p+1), and c < 20 + 1/(p+1) keeps the drop of (1-t)^r in sight.
     """
-    if p < 0.0:
-        a = p + 1.0
-        inv = 1.0 / a
-        return _adaptive_gauss(lambda u: (1.0 - u**inv) ** r, 0.0, 0.5**a, tol) / a
-    return _adaptive_gauss(lambda t: t**p * (1.0 - t) ** r, 0.0, 0.5, tol)
+    m = min(20, math.ceil(20.0 * (p + 1.0)))
+    c = max(1.0, m / (p + 1.0))
+    e = c * (p + 1.0) - 1.0
+    return c * _adaptive_gauss(lambda u: u**e * (1.0 - u**c) ** r, 0.0, 0.5 ** (1.0 / c), tol)
 
 
 def _beta_moment(p: float, r: float, tol: float) -> float:

@@ -109,6 +109,12 @@ class TestParams:
         with pytest.raises(ValueError, match="needs inf steps"):
             BecParams(**{**fields, "dt": 5e-324}, t_max=1.0)
 
+    def test_path_count_is_capped(self):
+        fields = dict(b=0.1, sigma=0.1, s0=0.5, x0=0.0, dt=1e-3, t_max=1.0)
+        assert BecParams(**fields, n_paths=becsim.MAX_PATHS).n_paths == becsim.MAX_PATHS
+        with pytest.raises(ValueError, match=f"at most {becsim.MAX_PATHS} are allowed"):
+            BecParams(**fields, n_paths=becsim.MAX_PATHS + 1)
+
     def test_step_grid(self):
         params = BecParams(b=0.1, sigma=0.0, s0=0.5, x0=0.0, dt=1e-3, t_max=2.0)
         assert params.n_steps == 2000

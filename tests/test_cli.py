@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -297,6 +298,21 @@ class TestBecSim:
         code, _, err = run(["bec-sim", *grid, "--paths", "2"], capsys)
         assert code == 2
         assert f"at most {becsim.MAX_STEPS}" in err
+
+    def test_path_count_over_the_cap_fails_before_allocating(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the path cap must stop the run before the ensemble")
+
+        monkeypatch.setattr(becsim, "ensemble_interference", unreachable)
+        tracemalloc.start()
+        try:
+            code, _, err = run(["bec-sim", "--paths", str(10**15), "--tmax", "0.01"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"at most {becsim.MAX_PATHS}" in err
+        assert peak < 1 << 20
 
     def test_unknown_config_key(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -106,7 +106,7 @@ class TestPdf:
     def test_normalization_by_quadrature(self):
         for _ in range(50):
             dist = random_symmetric_mass_distribution(RNG)
-            assert pdf_normalization(dist) == pytest.approx(1.0, abs=1e-8)
+            assert pdf_normalization(dist) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestClosedForm:
@@ -157,7 +157,7 @@ class TestNumeric:
             closed = q_split_closed(dist)
             numeric = q_split_numeric(dist, tol=1e-10)
             worst = max(worst, abs(closed.q_plus - numeric.q_plus), abs(closed.q_minus - numeric.q_minus))
-        assert worst < 1e-8
+        assert worst < 1e-10
 
 
 class TestZeroMean:
@@ -210,3 +210,35 @@ def test_adaptive_gauss_integrates_each_panel_once(p, r):
     got = quarterlaw._adaptive_gauss(recorded, 0.0, 0.5, 1e-11)
     assert got == adaptive_gauss_rebisect(integrand, 0.0, 0.5, 1e-11)
     assert len(calls) == len(set(calls)) > 3
+
+
+def test_beta_moment_needs_few_panels(monkeypatch):
+    """The substitution t = u^c leaves no endpoint weight to bisect toward
+    u = 0: at p = r = 0.3 direct quadrature of t^p took 398 panels."""
+    panels = []
+    gauss_panel = quarterlaw._gauss_panel
+
+    def counted(f, lo, hi):
+        panels.append((lo, hi))
+        return gauss_panel(f, lo, hi)
+
+    monkeypatch.setattr(quarterlaw, "_gauss_panel", counted)
+    grid = [-0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0]
+    most = 0
+    for p in grid + [10.0]:
+        for r in grid + [9.0]:
+            panels.clear()
+            got = quarterlaw._beta_moment(p, r, 1e-11)
+            assert got == pytest.approx(math.exp(log_beta(p + 1.0, r + 1.0)), abs=1e-11)
+            most = max(most, len(panels))
+    assert most <= 30
+
+
+def test_beta_moment_near_the_exponent_floor():
+    """At p = -0.999 the (1-t)^1000 drop sits near the upper end of u; a
+    substitution that squeezes it further (c = 20/(p+1)) misses by 6.8.
+    The reference B(a, 1001) = 1000! / (a (a+1) ... (a+1000)) is good to
+    about 3e-11 here, where exp(log_beta(a, 1001)) is off by 6.1e-10."""
+    a = -0.999 + 1.0
+    exact = math.prod(k / (k + a) for k in range(1, 1001)) / a
+    assert quarterlaw._beta_moment(-0.999, 1000.0, 1e-11) == pytest.approx(exact, abs=1e-10)
