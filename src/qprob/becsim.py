@@ -51,6 +51,10 @@ CHUNK_PATHS = 1024
 #: cosines and one row of sines of the noise angles per step.
 _NOISE_BLOCK = 512
 
+#: Lanes per tile when a noise block is transposed from per-path rows into
+#: per-step rows.
+_TILE_LANES = 64
+
 #: Largest step count a run may ask for, checked before anything is
 #: allocated.  It is five times the 2e6 steps of the finest run in the
 #: acceptance suite; the noiseless curve alone then takes 160 MB.
@@ -217,25 +221,30 @@ def integrate_deterministic(params: BecParams) -> Trajectory:
     sixth = dt / 6.0
     s_out = np.empty(n + 1)
     x_out = np.empty(n + 1)
+    # a memoryview stores a float in about half the time of array indexing
+    s_store, x_store = memoryview(s_out), memoryview(x_out)
     s, x = params.s0, params.x0
     s_out[0], x_out[0] = s, x
     r = math.sqrt(1.0 - s * s)
     u, v = r * math.cos(x), r * math.sin(x)
     atan2 = math.atan2
+    # The slopes are stored as (s v, s (u + b), b v), as in the lanes: the
+    # signs of du/dt = -s v and ds/dt = -b v ride on the updates, and since
+    # negation is exact, u - h*a equals u + h*(-a) bit for bit.
     for k in range(1, n + 1):
-        k1u, k1v, k1s = -s * v, s * (u + b), -b * v
-        u2, v2, s2 = u + half * k1u, v + half * k1v, s + half * k1s
-        k2u, k2v, k2s = -s2 * v2, s2 * (u2 + b), -b * v2
-        u3, v3, s3 = u + half * k2u, v + half * k2v, s + half * k2s
-        k3u, k3v, k3s = -s3 * v3, s3 * (u3 + b), -b * v3
-        u4, v4, s4 = u + dt * k3u, v + dt * k3v, s + dt * k3s
-        u_new = u + sixth * (k1u + 2.0 * (k2u + k3u) - s4 * v4)
+        k1u, k1v, k1s = s * v, s * (u + b), b * v
+        u2, v2, s2 = u - half * k1u, v + half * k1v, s - half * k1s
+        k2u, k2v, k2s = s2 * v2, s2 * (u2 + b), b * v2
+        u3, v3, s3 = u - half * k2u, v + half * k2v, s - half * k2s
+        k3u, k3v, k3s = s3 * v3, s3 * (u3 + b), b * v3
+        u4, v4, s4 = u - dt * k3u, v + dt * k3v, s - dt * k3s
+        u_new = u - sixth * (k1u + 2.0 * (k2u + k3u) + s4 * v4)
         v_new = v + sixth * (k1v + 2.0 * (k2v + k3v) + s4 * (u4 + b))
-        s += sixth * (k1s + 2.0 * (k2s + k3s) - b * v4)
+        s -= sixth * (k1s + 2.0 * (k2s + k3s) + b * v4)
         x += atan2(u * v_new - v * u_new, u * u_new + v * v_new)
         u, v = u_new, v_new
-        s_out[k] = s
-        x_out[k] = x
+        s_store[k] = s
+        x_store[k] = x
     _require_finite(dt, s_out, x_out)
     return Trajectory(times=params.times(), s=s_out, x=x_out)
 
@@ -277,14 +286,14 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = Fa
     # Per-step cost at narrow widths is call overhead, so constants are
     # arrays, every view is made before the loop and outputs are positional.
     # Broadcasting a column costs more than reading a full array, so the
-    # per-row constants are stored full width.
-    b, two = np.array([params.b]), np.array([2.0])
+    # constants are stored full width.
+    b = np.full(width, params.b)
     half, full, sixth = (
         np.repeat([[-h], [h], [-h]], width, axis=1)
         for h in (0.5 * params.dt, params.dt, params.dt / 6.0)
     )
     flip = np.repeat([[-1.0], [1.0]], width, axis=1)
-    mul, add = np.multiply, np.add
+    mul, add, dot = np.multiply, np.add, np.dot
     # Rows u, v, s.  The slopes are stored as (s v, s (u + b), b v): the
     # signs of du/dt = -s v and ds/dt = -b v ride on the step constants.
     y, stage, k1, k2, k3, k4 = np.empty((6, 3, width))
@@ -295,7 +304,6 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = Fa
     y_rows, stage_rows, k1_rows, k2_rows, k3_rows, k4_rows = (
         tuple(a) for a in (y, stage, k1, k2, k3, k4)
     )
-    dev = np.empty(width)
     mean, m2 = np.empty((2, n + 1))
     mean[0], m2[0] = params.s0, 0.0
     drift = 0.0
@@ -316,16 +324,21 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = Fa
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
             block = min(_NOISE_BLOCK, n - k)
-            angles = sin_block[:block]
-            for i, gen in enumerate(generators):
-                angles[:, i] = gen.standard_normal(block)
+            angles, spent = sin_block[:block], cos_block[:block]
+            # Each path draws its block into one contiguous row of the free
+            # cosine block, which is then transposed in tiles of lanes.
+            draws = spent.reshape(width, block)
+            for gen, row in zip(generators, draws):
+                gen.standard_normal(out=row)
+            for lo in range(0, width, _TILE_LANES):
+                angles[:, lo:lo + _TILE_LANES] = draws[lo:lo + _TILE_LANES].T
             angles *= sig_sqdt
             if phase:
                 # each step's angle waits in x until that step adds the phase
                 x[k + 1:k + block + 1] = angles[:, 0]
-            np.cos(angles, cos_block[:block])
+            np.cos(angles, spent)
             np.sin(angles, angles)
-            for cos_t, sin_t in zip(cos_block[:block], angles):
+            for cos_t, sin_t in zip(spent, angles):
                 # (u, v) -> (u cos - v sin, v cos + u sin)
                 mul(vu, sin_t, rot)
                 mul(rot, flip, rot)
@@ -342,7 +355,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = Fa
                 add(y, stage, stage)
                 slopes(stage_rows, k4_rows)
                 add(k2, k3, k2)
-                mul(k2, two, k2)
+                add(k2, k2, k2)
                 add(k1, k2, k1)
                 add(k1, k4, k1)
                 mul(k1, sixth, k1)
@@ -353,13 +366,40 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int, phase: bool = Fa
                 if phase:
                     u1, v1 = float(u[0]), float(v[0])
                     x[k] = x[k - 1] + x[k] + math.atan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)
-                level = s.sum() / width
-                np.subtract(s, level, dev)
-                mean[k] = level
-                m2[k] = np.dot(dev, dev)
+                # the spent cosines of this step keep its s for the reduction
+                np.copyto(cos_t, s)
+            # Row by row the same sums, differences and dot products as a
+            # reduction after every step, so the same bits.
+            levels = mean[k - block + 1:k + 1]
+            np.add.reduce(spent, axis=1, out=levels)
+            levels /= width
+            spent -= levels[:, None]
+            m2[k - block + 1:k + 1] = [dot(dev, dev) for dev in spent]
             drift = max(drift, float(np.max(np.abs((y * y).sum(axis=0) - 1.0))))
     _require_finite(params.dt, mean, m2, x)
     return mean, m2, drift, x
+
+
+def _bloch_chunk(chunk: tuple[BecParams, int, int]):
+    """:func:`_bloch_lanes` on one (params, path_lo, path_hi) chunk, for ``Pool.imap``."""
+    return _bloch_lanes(*chunk)
+
+
+def _merge_chunks(chunks, partials):
+    """Merge the chunks' means and centred sums of squares in chunk order
+    (Chan, Golub and LeVeque, 1983), each as it arrives, so the merge holds
+    one chunk's partial at a time.  Returns the mean, the centred sum of
+    squares and the largest norm drift."""
+    mean_s, m2, count, drift = 0.0, 0.0, 0, 0.0
+    for (_, lo, hi), (part_mean, part_m2, part_drift, _) in zip(chunks, partials):
+        width = hi - lo
+        total = count + width
+        delta = part_mean - mean_s
+        mean_s = mean_s + delta * (width / total)
+        m2 = m2 + part_m2 + delta * delta * (count * width / total)
+        count = total
+        drift = max(drift, part_drift)
+    return mean_s, m2, drift
 
 
 def integrate_sde(params: BecParams, path_index: int) -> Trajectory:
@@ -382,10 +422,9 @@ def ensemble_interference(params: BecParams, workers: int = 1) -> EnsembleResult
     :func:`integrate_deterministic`, which a noiseless lane reproduces bit
     for bit, so the interference factor vanishes identically when sigma is
     zero (then every path is the noiseless curve and no path is run).  The
-    chunks' means and centred sums of squares are merged in fixed order
-    (Chan, Golub and LeVeque, 1983), making the output independent of
-    ``workers``; the pool never has more processes than chunks or usable
-    CPUs.
+    chunks are merged in fixed order as they arrive, making the output
+    independent of ``workers``; the pool never has more processes than
+    chunks or usable CPUs.
     """
     if params.n_paths < 2:
         raise ValueError(f"ensemble needs at least two paths, got {params.n_paths}")
@@ -399,18 +438,9 @@ def ensemble_interference(params: BecParams, workers: int = 1) -> EnsembleResult
         processes = min(workers, len(chunks), cpus)
         if processes > 1:
             with multiprocessing.Pool(processes) as pool:
-                partials = pool.starmap(_bloch_lanes, chunks)
+                mean_s, m2, drift = _merge_chunks(chunks, pool.imap(_bloch_chunk, chunks))
         else:
-            partials = [_bloch_lanes(*chunk) for chunk in chunks]
-        mean_s, m2, count = 0.0, 0.0, 0
-        drift = max(part[2] for part in partials)
-        for (_, lo, hi), (part_mean, part_m2, _, _) in zip(chunks, partials):
-            width = hi - lo
-            total = count + width
-            delta = part_mean - mean_s
-            mean_s = mean_s + delta * (width / total)
-            m2 = m2 + part_m2 + delta * delta * (count * width / total)
-            count = total
+            mean_s, m2, drift = _merge_chunks(chunks, map(_bloch_chunk, chunks))
 
     p1 = 0.5 * (1.0 - mean_s)
     f1 = 0.5 * (1.0 - s_det)

@@ -22,13 +22,20 @@ def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
-    """Full-support mixed state: simplex-weighted mixture of dim pure states."""
+    """Full-support mixed state: simplex-weighted mixture of dim pure states.
+
+    The dim pure states are drawn in one call, in the order of dim calls to
+    :func:`random_unit_vector`, and the terms are summed in that order.
+    """
     check_dim(dim)
     weights = rng.dirichlet(np.ones(dim))
+    parts = rng.standard_normal((dim, 2, dim))
+    vectors = parts[:, 0] + 1j * parts[:, 1]
+    vectors /= np.array([np.linalg.norm(v) for v in vectors])[:, None]
+    terms = weights[:, None, None] * (vectors[:, :, None] * vectors.conj()[:, None, :])
     matrix = np.zeros((dim, dim), dtype=np.complex128)
-    for w in weights:
-        v = random_unit_vector(rng, dim)
-        matrix += w * outer(v, v)
+    for term in terms:
+        matrix += term
     return DensityOperator(matrix)
 
 

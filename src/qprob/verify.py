@@ -314,12 +314,48 @@ def _check_critical_amplitude(rng: np.random.Generator, corrupt: bool, workers: 
     )
 
 
-def _check_energy_conservation(rng: np.random.Generator, corrupt: bool, workers: int) -> CheckResult:
+class _NoiselessCurves:
+    """The noiseless (s, x) curves from s0 = -0.9, x0 = 0 at dt = 1e-3 that
+    the becsim checks read.
+
+    Each pumping amplitude is integrated once, to ``t_max``, and a check
+    reads the prefix up to its own horizon, which holds the same bits as an
+    integration to that horizon.  Only s and x are kept.  One store serves
+    one :func:`run_checks` call, so no run reuses another's work.
+    """
+
+    def __init__(self, t_max: float) -> None:
+        self.t_max = t_max
+        self._curves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @staticmethod
+    def _params(b: float, t_max: float) -> becsim.BecParams:
+        return becsim.BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=t_max, n_paths=2)
+
+    def read(self, b: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+        if t_max > self.t_max:
+            raise ValueError(f"curves reach t = {self.t_max}, not t = {t_max}")
+        if b not in self._curves:
+            traj = becsim.integrate_deterministic(self._params(b, self.t_max))
+            self._curves[b] = traj.s, traj.x
+        s, x = self._curves[b]
+        end = self._params(b, t_max).n_steps + 1
+        return s[:end], x[:end]
+
+
+#: Horizons of the noiseless curves each becsim check reads.
+_ENERGY_HORIZON = 100.0
+_DICHOTOMY_HORIZON = 200.0
+
+
+def _check_energy_conservation(
+    rng: np.random.Generator, corrupt: bool, workers: int, curves: _NoiselessCurves | None = None
+) -> CheckResult:
+    curves = curves or _NoiselessCurves(_ENERGY_HORIZON)
     worst = 0.0
     for b in (0.25, 0.5):
-        params = becsim.BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=100.0, n_paths=2)
-        traj = becsim.integrate_deterministic(params)
-        h = becsim.hamiltonian(traj.s, traj.x, b)
+        s, x = curves.read(b, _ENERGY_HORIZON)
+        h = becsim.hamiltonian(s, x, b)
         worst = _worst(worst, float(np.max(np.abs(h - h[0]))))
     return CheckResult(
         "becsim",
@@ -329,15 +365,14 @@ def _check_energy_conservation(rng: np.random.Generator, corrupt: bool, workers:
     )
 
 
-def _check_regime_dichotomy(rng: np.random.Generator, corrupt: bool, workers: int) -> CheckResult:
-    sub = becsim.integrate_deterministic(
-        becsim.BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0, n_paths=2)
-    )
-    sup = becsim.integrate_deterministic(
-        becsim.BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0, n_paths=2)
-    )
-    sub_stays_negative = bool(np.all(sub.s < 0.0))
-    sup_crosses = bool(np.any(sup.s >= 0.0))
+def _check_regime_dichotomy(
+    rng: np.random.Generator, corrupt: bool, workers: int, curves: _NoiselessCurves | None = None
+) -> CheckResult:
+    curves = curves or _NoiselessCurves(_DICHOTOMY_HORIZON)
+    sub, _ = curves.read(0.25, _DICHOTOMY_HORIZON)
+    sup, _ = curves.read(0.5, _DICHOTOMY_HORIZON)
+    sub_stays_negative = bool(np.all(sub < 0.0))
+    sup_crosses = bool(np.any(sup >= 0.0))
     labels_ok = (
         becsim.regime_classify(0.25, -0.9, 0.0) is becsim.Regime.RABI
         and becsim.regime_classify(0.5, -0.9, 0.0) is becsim.Regime.JOSEPHSON
@@ -346,7 +381,7 @@ def _check_regime_dichotomy(rng: np.random.Generator, corrupt: bool, workers: in
         "becsim",
         "subcritical-bounded-supercritical-crossing",
         sub_stays_negative and sup_crosses and labels_ok,
-        f"subcritical max s = {float(np.max(sub.s)):.6f}, supercritical max s = {float(np.max(sup.s)):.6f}",
+        f"subcritical max s = {float(np.max(sub)):.6f}, supercritical max s = {float(np.max(sup)):.6f}",
     )
 
 
@@ -372,6 +407,9 @@ Check = Callable[[np.random.Generator, bool, int], CheckResult]
 #: injects a fault into the prospect normalization check only, ``workers``
 #: sizes the pool of the stochastic ensemble.  Sample counts are fixed per
 #: check; the acceptance suite runs each numbered check on several streams.
+#: The checks in :data:`_CURVE_HORIZONS` also take a ``curves`` store, which
+#: :func:`run_checks` shares between them; called without one, each
+#: integrates its own curves to its own horizon.
 CHECKS: tuple[tuple[str, int | None, Check], ...] = (
     ("events", None, _check_projective_measure),
     ("uncertain", None, _check_uncertain_trace),
@@ -392,6 +430,12 @@ CHECKS: tuple[tuple[str, int | None, Check], ...] = (
     ("becsim", None, _check_ensemble_antisymmetry),
 )
 
+#: The checks that accept a shared ``curves`` store, with the horizon each reads.
+_CURVE_HORIZONS: dict[Check, float] = {
+    _check_energy_conservation: _ENERGY_HORIZON,
+    _check_regime_dichotomy: _DICHOTOMY_HORIZON,
+}
+
 
 def run_checks(
     seed: int,
@@ -408,8 +452,18 @@ def run_checks(
     """
     if group_filter is not None and group_filter not in GROUPS:
         raise ValueError(f"unknown check group {group_filter!r}; choose from {', '.join(GROUPS)}")
+    selected = [
+        (index, check) for index, (group, _, check) in enumerate(CHECKS) if group_filter in (None, group)
+    ]
+    # the checks that read noiseless curves share them, integrated once each
+    # to the longest horizon any of them needs
+    curves = _NoiselessCurves(max((_CURVE_HORIZONS.get(check, 0.0) for _, check in selected), default=0.0))
     return [
-        check(np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index]), corrupt, workers)
-        for index, (group, _, check) in enumerate(CHECKS)
-        if group_filter in (None, group)
+        check(
+            np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, index]),
+            corrupt,
+            workers,
+            **({"curves": curves} if check in _CURVE_HORIZONS else {}),
+        )
+        for index, check in selected
     ]

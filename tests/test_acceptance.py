@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import qprob
-from qprob import verify
+from qprob import becsim, verify
 from qprob.becsim import BecParams, ensemble_interference, integrate_deterministic
 
 #: Root seed of the registered checks' streams.
@@ -45,6 +45,29 @@ def test_registry_numbers_criteria_1_to_8():
 def test_corrupt_fails_only_the_normalization_check():
     failed = [f"{r.group}/{r.name}" for r in verify.run_checks(7, corrupt=True) if not r.passed]
     assert failed == ["prospects/probability-normalization"]
+
+
+def test_verify_integrates_each_noiseless_curve_once_per_call(monkeypatch):
+    steps = []
+    real = becsim.integrate_deterministic
+
+    def counting(params):
+        steps.append(params.n_steps)
+        return real(params)
+
+    monkeypatch.setattr(becsim, "integrate_deterministic", counting)
+    # criteria 7a and 8 share one t <= 200 curve per regime; the ensemble
+    # check adds its own t <= 10 reference curve
+    assert all(r.passed for r in verify.run_checks(7, group_filter="becsim"))
+    first = sum(steps)
+    assert first <= 410_000
+    # a second call integrates as much again: nothing is cached across calls
+    verify.run_checks(7, group_filter="becsim")
+    assert sum(steps) == 2 * first
+    # a check called on its own integrates its own horizon
+    steps.clear()
+    verify._check_energy_conservation(np.random.default_rng(0), False, 1)
+    assert sum(steps) == 200_000
 
 
 def test_a_nan_fails_the_checks_it_reaches(monkeypatch):

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
@@ -78,6 +80,46 @@ def test_energy_is_conserved_symbolically():
     dx_dt = s * (1 + b * sp.cos(x) / sp.sqrt(1 - s**2))
     dh_dt = sp.diff(h, s) * ds_dt + sp.diff(h, x) * dx_dt
     assert sp.simplify(dh_dt) == 0
+
+
+#: SHA-256 of (mean, m2, drift) from ``_bloch_lanes`` over 700 steps (one
+#: full and one partial noise block), by (b, width).  With CURVE_BITS they
+#: pin both integrators' bits: a change that moves one needs a new KERNEL.
+LANE_BITS = {
+    (0.25, 1): "66acd4f1e3d6db76ffbf60f5a0bc866681b209671bd1b0034cb99b43a3b2852e",
+    (0.25, 200): "0cb1c14f6c1166e940f3f59011ebb169e267c08548d8ff9a516890a7f2aba066",
+    (0.25, 1024): "3e1097566959669dc51818e7f4e7e51ad329a174925252d4fad7a77f8b01886c",
+    (0.5, 1): "ce7e3a92742e1df6bf89f10dc8939727de423a680613408d903583f177bc26b1",
+    (0.5, 200): "dc2daf9bbad3885bed2d97c346becccb29f54df8869f61f312e00e39090337c9",
+    (0.5, 1024): "96040d811e52d60196c98ee6262ddaad7c2efd610fb36ad9e386aa0df7e8311b",
+}
+
+#: SHA-256 of (s, x) from ``integrate_deterministic`` over t = 20, by (b, x0).
+CURVE_BITS = {
+    (0.25, 0.0): "d270647b06e8dbeb5bc6dda08b6353312195ce71617234c2bd4e6346764e5933",
+    (0.25, 0.3): "033c66de63d20b97d9b062236209d0e20cab30ef4264da80d759200621ff5c17",
+    (0.5, 0.0): "618ba505a76e0ab1eee7029353f5c60543a7bb23a137dacb8af5a9589a9d7e2f",
+    (0.5, 0.3): "de1e552cdf421da36d7fcfedea85297755f1f793ad999b162db5fbda0c06f507",
+}
+
+#: The scheme these bits belong to.
+GOLDEN_KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("b, width", sorted(LANE_BITS))
+    def test_lanes(self, b, width):
+        params = BecParams(b=b, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=max(width, 2), seed=5)
+        assert params.n_steps == 700
+        mean, m2, drift, _ = becsim._bloch_lanes(params, 0, width)
+        digest = hashlib.sha256(mean.tobytes() + m2.tobytes() + np.float64(drift).tobytes()).hexdigest()
+        assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, LANE_BITS[b, width])
+
+    @pytest.mark.parametrize("b, x0", sorted(CURVE_BITS))
+    def test_noiseless_curve(self, b, x0):
+        traj = integrate_deterministic(BecParams(b=b, sigma=0.0, s0=-0.9, x0=x0, dt=1e-3, t_max=20.0))
+        digest = hashlib.sha256(traj.s.tobytes() + traj.x.tobytes()).hexdigest()
+        assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, CURVE_BITS[b, x0])
 
 
 class TestParams:
@@ -395,8 +437,8 @@ class TestEnsemble:
             def __exit__(self, *exc):
                 return False
 
-            def starmap(self, func, items):
-                return [func(*item) for item in items]
+            def imap(self, func, items):
+                return map(func, items)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(becsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -409,6 +451,27 @@ class TestEnsemble:
         serial = ensemble_interference(params, workers=1)
         assert requested == [2]
         assert np.array_equal(pooled.p1, serial.p1)
+
+    def test_chunks_are_merged_as_they_arrive(self, monkeypatch):
+        # a fake kernel over five chunks, serial: when a chunk starts, the
+        # merge may still hold the previous chunk's partial but no older one
+        partials, alive = [], []
+
+        def fake_lanes(params, lo, hi, phase=False):
+            alive.append(sum(any(ref() is not None for ref in refs) for refs in partials))
+            mean, m2 = np.full(params.n_steps + 1, -0.5), np.zeros(params.n_steps + 1)
+            partials.append((weakref.ref(mean), weakref.ref(m2)))
+            return mean, m2, 0.0, None
+
+        monkeypatch.setattr(becsim, "_bloch_lanes", fake_lanes)
+        params = BecParams(
+            b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.002,
+            n_paths=4 * 1024 + 1, seed=3,
+        )
+        result = ensemble_interference(params, workers=1)
+        assert len(alive) == 5
+        assert max(alive) <= 1
+        assert np.all(result.p1 == 0.75)
 
     def test_needs_two_paths(self):
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, n_paths=1)
