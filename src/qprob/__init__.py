@@ -15,7 +15,6 @@ from .becsim import (
     critical_amplitude,
     ensemble_interference,
     integrate_deterministic,
-    integrate_sde,
     regime_classify,
 )
 from .events import (
@@ -103,7 +102,6 @@ __all__ = [
     "event_probability",
     "hermitian_eigen",
     "integrate_deterministic",
-    "integrate_sde",
     "joint_probability",
     "kron",
     "max_entangled_state",

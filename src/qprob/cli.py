@@ -370,6 +370,9 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
         raise CliError(str(exc)) from exc
+    # the step count is known once the params are valid; the plot needs two rows
+    if config["plot"] and stride > params.n_steps:
+        raise CliError(f"--plot needs two rows, but --stride {stride} exceeds the {params.n_steps} steps")
 
     result = becsim.ensemble_interference(params, workers=_env_workers())
 

@@ -315,12 +315,12 @@ def _check_critical_amplitude(rng: np.random.Generator, corrupt: bool, workers: 
 
 
 class _NoiselessCurves:
-    """The noiseless (s, x) curves from s0 = -0.9, x0 = 0 at dt = 1e-3 that
+    """The noiseless (s, u) curves from s0 = -0.9, x0 = 0 at dt = 1e-3 that
     the becsim checks read.
 
     Each pumping amplitude is integrated once, to ``t_max``, and a check
     reads the prefix up to its own horizon, which holds the same bits as an
-    integration to that horizon.  Only s and x are kept.  One store serves
+    integration to that horizon.  Only s and u are kept.  One store serves
     one :func:`run_checks` call, so no run reuses another's work.
     """
 
@@ -337,10 +337,10 @@ class _NoiselessCurves:
             raise ValueError(f"curves reach t = {self.t_max}, not t = {t_max}")
         if b not in self._curves:
             traj = becsim.integrate_deterministic(self._params(b, self.t_max))
-            self._curves[b] = traj.s, traj.x
-        s, x = self._curves[b]
+            self._curves[b] = traj.s, traj.u
+        s, u = self._curves[b]
         end = self._params(b, t_max).n_steps + 1
-        return s[:end], x[:end]
+        return s[:end], u[:end]
 
 
 #: Horizons of the noiseless curves each becsim check reads.
@@ -354,8 +354,8 @@ def _check_energy_conservation(
     curves = curves or _NoiselessCurves(_ENERGY_HORIZON)
     worst = 0.0
     for b in (0.25, 0.5):
-        s, x = curves.read(b, _ENERGY_HORIZON)
-        h = becsim.hamiltonian(s, x, b)
+        s, u = curves.read(b, _ENERGY_HORIZON)
+        h = becsim.hamiltonian(s, u, b)
         worst = _worst(worst, float(np.max(np.abs(h - h[0]))))
     return CheckResult(
         "becsim",

@@ -113,7 +113,7 @@ def test_criterion_7b_integrator_order(acceptance):
     def endpoint(dt):
         params = BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=dt, t_max=20.0)
         traj = integrate_deterministic(params)
-        return np.array([traj.s[-1], traj.x[-1]])
+        return np.array([traj.u[-1], traj.v[-1], traj.s[-1]])
 
     reference = endpoint(1e-5)
     err_coarse = np.max(np.abs(endpoint(8e-3) - reference))

