@@ -69,6 +69,12 @@ MAX_STEPS = 10**7
 #: about three hours of one CPU at 100 ns a path-step.
 MAX_PATHS = 10**6
 
+#: The critical amplitude is undefined where its denominator is this small.
+CRITICAL_DENOMINATOR_TOL = 1e-12
+
+#: A pumping amplitude this close to the critical one is classed as critical.
+REGIME_TOL = 1e-9
+
 #: The scheme of every noisy path, as named in reports.
 KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
 
@@ -174,7 +180,7 @@ class EnsembleResult:
     max_norm_drift: float = 0.0
 
 
-def critical_amplitude(s0: float, x0: float, tol: float = 1e-12) -> float:
+def critical_amplitude(s0: float, x0: float) -> float:
     """Pumping amplitude separating the two oscillation regimes.
 
     Equals s0^2 / (2 * (1 + sqrt(1 - s0^2) * cos(x0))); ranges over [0, 1/2]
@@ -185,21 +191,21 @@ def critical_amplitude(s0: float, x0: float, tol: float = 1e-12) -> float:
     if abs(s0) > 1.0:
         raise ValueError(f"initial imbalance must satisfy |s0| <= 1, got {s0!r}")
     denominator = 2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - s0 * s0)) * math.cos(x0))
-    if denominator <= tol:
+    if denominator <= CRITICAL_DENOMINATOR_TOL:
         raise DenominatorVanishes(
             f"critical amplitude undefined: denominator {denominator:.3e} at s0={s0}, x0={x0}"
         )
     return s0 * s0 / denominator
 
 
-def regime_classify(b: float, s0: float, x0: float, tol: float = 1e-9) -> Regime:
+def regime_classify(b: float, s0: float, x0: float) -> Regime:
     """Which side of the critical amplitude the pumping lies on."""
     if not math.isfinite(b):
         raise ValueError(f"pumping amplitude must be finite, got {b!r}")
     bc = critical_amplitude(s0, x0)
-    if b < bc - tol:
+    if b < bc - REGIME_TOL:
         return Regime.RABI
-    if b > bc + tol:
+    if b > bc + REGIME_TOL:
         return Regime.JOSEPHSON
     return Regime.CRITICAL
 

@@ -7,7 +7,7 @@ that projector.  Unions of distinct outcomes are additive.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,10 +27,10 @@ from .linalg import (
 PROBABILITY_DUST = 1e-9
 
 
-def clamp_probability(p: float, dust: float = PROBABILITY_DUST) -> float:
+def clamp_probability(p: float) -> float:
     """Clamp ``p`` into [0, 1] after checking the violation is mere dust (a NaN is not)."""
-    if not -dust <= p <= 1.0 + dust:
-        raise ArithmeticError(f"probability {p!r} violates [0, 1] beyond dust threshold {dust}")
+    if not -PROBABILITY_DUST <= p <= 1.0 + PROBABILITY_DUST:
+        raise ArithmeticError(f"probability {p!r} violates [0, 1] beyond dust threshold {PROBABILITY_DUST}")
     return min(1.0, max(0.0, p))
 
 
@@ -40,24 +40,24 @@ class DensityOperator:
 
     Construction validates all three invariants and fails loudly instead of
     repairing the input; repairing silently would mask caller bugs.  Derived
-    states are validated too.  Cholesky of ``matrix + tol * I`` succeeds
-    exactly when no eigenvalue is below ``-tol``; only if it fails are the
+    states are validated too, all three at tolerance ``DEFAULT_TOL``.
+    Cholesky of ``matrix + DEFAULT_TOL * I`` succeeds exactly when no
+    eigenvalue is below ``-DEFAULT_TOL``; only if it fails are the
     eigenvalues computed, to decide and to report.
     """
 
     matrix: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float) -> None:
-        m = checked_hermitian(self.matrix, tol)
+    def __post_init__(self) -> None:
+        m = checked_hermitian(self.matrix)
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) >= tol:
-            raise ValueError(f"state trace {tr!r} is not 1 within {tol}")
+        if abs(tr - 1.0) >= DEFAULT_TOL:
+            raise ValueError(f"state trace {tr!r} is not 1 within {DEFAULT_TOL}")
         try:
-            np.linalg.cholesky(m + tol * np.eye(m.shape[0]))
+            np.linalg.cholesky(m + DEFAULT_TOL * np.eye(m.shape[0]))
         except np.linalg.LinAlgError:
             smallest = np.linalg.eigvalsh(m)[0]
-            if smallest < -tol:
+            if smallest < -DEFAULT_TOL:
                 raise ValueError(f"state has negative eigenvalue {smallest:.3e}") from None
         m = m.copy()
         m.setflags(write=False)
@@ -68,20 +68,20 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, vector, tol: float = DEFAULT_TOL) -> "DensityOperator":
+    def pure(cls, vector) -> "DensityOperator":
         """Rank-one state |v><v| from a (not necessarily normalized) vector."""
         v = as_vector(vector)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError("cannot build a pure state from the zero vector")
         v = v / norm
-        return cls(outer(v, v), tol=tol)
+        return cls(outer(v, v))
 
     @classmethod
-    def diagonal(cls, probabilities: Sequence[float], tol: float = DEFAULT_TOL) -> "DensityOperator":
+    def diagonal(cls, probabilities: Sequence[float]) -> "DensityOperator":
         """Classical mixture diag(p_1, ..., p_d)."""
         p = np.asarray(probabilities, dtype=float)
-        return cls(np.diag(p.astype(np.complex128)), tol=tol)
+        return cls(np.diag(p.astype(np.complex128)))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -98,12 +98,11 @@ class Observable:
     """
 
     spectral: SpectralDecomposition
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         gram = self.spectral.gram_residual()
-        if gram >= tol:
-            raise ValueError(f"eigenvectors are not orthonormal within {tol} (residual {gram:.3e})")
+        if gram >= DEFAULT_TOL:
+            raise ValueError(f"eigenvectors are not orthonormal within {DEFAULT_TOL} (residual {gram:.3e})")
 
     @property
     def dim(self) -> int:
@@ -120,9 +119,9 @@ class Observable:
         )
 
     @classmethod
-    def from_matrix(cls, matrix, tol: float = DEFAULT_TOL) -> "Observable":
+    def from_matrix(cls, matrix) -> "Observable":
         """Diagonalize a Hermitian matrix into an Observable."""
-        return cls(hermitian_eigen(matrix, tol=tol))
+        return cls(hermitian_eigen(matrix))
 
 
 def projector(obs: Observable, n: int) -> np.ndarray:

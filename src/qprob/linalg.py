@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default max-norm tolerance for all Hermiticity / orthonormality checks.
+#: Max-norm tolerance of every Hermiticity, trace, positivity, orthonormality
+#: and weight-normalization check.
 DEFAULT_TOL = 1e-10
 
 #: Kronecker products larger than this many entries are refused.
@@ -89,16 +90,16 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_EIGEN_DIM}")
 
 
-def checked_hermitian(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def checked_hermitian(a) -> np.ndarray:
     """``a`` as a finite square matrix, at most ``MAX_EIGEN_DIM`` wide, with
-    ``|a - a^H|`` below ``tol`` in max-norm."""
+    ``|a - a^H|`` below ``DEFAULT_TOL`` in max-norm."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
     check_dim(a.shape[0])
     residual = float(np.max(np.abs(a - a.conj().T)))
-    if residual >= tol:
-        raise NotHermitianError(f"matrix is not Hermitian within {tol} (residual {residual:.3e})")
+    if residual >= DEFAULT_TOL:
+        raise NotHermitianError(f"matrix is not Hermitian within {DEFAULT_TOL} (residual {residual:.3e})")
     return a
 
 
@@ -135,19 +136,19 @@ class SpectralDecomposition:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+def hermitian_eigen(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Eigenvalues come out ascending; eigenvectors are orthonormal and rebuild
-    the input to within ``10 * tol`` in max-norm.  For a degenerate cluster
+    the input to within ``10 * DEFAULT_TOL`` in max-norm.  For a degenerate cluster
     the eigenvectors are just some orthonormal basis of the eigenspace.
 
     Raises:
-        NotHermitianError: the max-norm residual ``|a - a^H|`` is >= tol.
+        NotHermitianError: the max-norm residual ``|a - a^H|`` is >= DEFAULT_TOL.
         NoConvergenceError: the underlying iteration failed to converge.
         ValueError: non-square input or dimension above ``MAX_EIGEN_DIM``.
     """
-    a = checked_hermitian(a, tol)
+    a = checked_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

@@ -26,6 +26,9 @@ import numpy as np
 #: the density diverges; only integrals of the density carry meaning there.
 PDF_ZERO_OFFSET = 1e-15
 
+#: :func:`solve_balanced` reports a zero-mean residual this large as infeasible.
+BALANCE_TOL = 1e-9
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
@@ -124,11 +127,19 @@ def pdf(dist: BetaPairDistribution, q: float) -> float:
     )
 
 
+def _branch_mean(shape: float, other: float, mass: float) -> float:
+    """``shape * mass / (shape + other)``; where the sum overflows both shapes
+    are halved first, which is exact and leaves the ratio unchanged."""
+    if math.isinf(shape + other):
+        shape, other = 0.5 * shape, 0.5 * other
+    return shape * mass / (shape + other)
+
+
 def q_split_closed(dist: BetaPairDistribution) -> QSplit:
     """Closed-form expected positive and negative parts."""
     return QSplit(
-        q_plus=dist.alpha * dist.lambda_plus / (dist.alpha + dist.beta),
-        q_minus=-dist.mu * dist.lambda_minus / (dist.mu + dist.nu),
+        q_plus=_branch_mean(dist.alpha, dist.beta, dist.lambda_plus),
+        q_minus=-_branch_mean(dist.mu, dist.nu, dist.lambda_minus),
     )
 
 
@@ -174,7 +185,6 @@ def solve_balanced(
     lambda_plus: float,
     mu: float,
     nu: float,
-    tol: float = 1e-9,
 ) -> Union[BetaPairDistribution, Infeasible]:
     """Assemble a zero-mean distribution, or report that none exists.
 
@@ -189,7 +199,7 @@ def solve_balanced(
         alpha=alpha, beta=beta, mu=mu, nu=nu, lambda_plus=lambda_plus, lambda_minus=1.0 - lambda_plus
     )
     residual = zero_mean_residual(candidate)
-    if abs(residual) >= tol:
+    if abs(residual) >= BALANCE_TOL:
         return Infeasible(residual=residual)
     return candidate
 

@@ -8,7 +8,7 @@ interference term, so uncertain unions are not additive.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,13 +31,12 @@ class ModeWeights:
     """
 
     values: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float) -> None:
+    def __post_init__(self) -> None:
         v = as_vector(self.values)
         total = float(np.sum(np.abs(v) ** 2))
-        if abs(total - 1.0) >= tol:
-            raise ValueError(f"squared weights sum to {total!r}, not 1 within {tol}")
+        if abs(total - 1.0) >= DEFAULT_TOL:
+            raise ValueError(f"squared weights sum to {total!r}, not 1 within {DEFAULT_TOL}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -51,13 +50,13 @@ class ModeWeights:
         return np.abs(self.values) ** 2
 
     @classmethod
-    def normalized(cls, values, tol: float = DEFAULT_TOL) -> "ModeWeights":
+    def normalized(cls, values) -> "ModeWeights":
         """Build weights from raw amplitudes, rescaling to unit total weight."""
         v = as_vector(values)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero amplitude vector")
-        return cls(v / norm, tol=tol)
+        return cls(v / norm)
 
 
 @dataclass(frozen=True)

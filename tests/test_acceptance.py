@@ -10,6 +10,7 @@ fixtures because they dominate the runtime.
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,11 +36,36 @@ ENSEMBLE_SEED = 4
 #: Workers for the ensemble fixtures; the output is the same for any count.
 WORKERS = os.cpu_count() or 1
 
-_NUMBERED = [index for index, (_, criterion, _) in enumerate(verify.CHECKS) if criterion is not None]
+_NUMBERED = [index for index, (_, criterion, *_) in enumerate(verify.CHECKS) if criterion is not None]
+
+
+@pytest.fixture(scope="module")
+def shared_run():
+    """One run for every registered criterion, so 7a and 8 share their curves."""
+    return verify.Run()
 
 
 def test_registry_numbers_criteria_1_to_8():
-    assert {criterion for _, criterion, _ in verify.CHECKS if criterion is not None} == set(range(1, 9))
+    assert {criterion for _, criterion, *_ in verify.CHECKS if criterion is not None} == set(range(1, 9))
+
+
+def test_registry_labels_are_unique():
+    labels = [(group, name) for group, _, name, _ in verify.CHECKS]
+    assert len(set(labels)) == len(labels)
+
+
+def test_registry_groups_in_report_order():
+    assert verify.GROUPS == ("events", "uncertain", "prospects", "quarterlaw", "becsim")
+
+
+def test_readme_table_lists_the_numbered_checks():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = set(re.findall(r"^\| `([a-z]+/[a-z0-9-]+)` \| (\d+)\b", readme, flags=re.M))
+    assert table == {
+        (f"{group}/{name}", str(criterion))
+        for group, criterion, name, _ in verify.CHECKS
+        if criterion is not None
+    }
 
 
 def test_corrupt_fails_only_the_normalization_check():
@@ -64,10 +90,15 @@ def test_verify_integrates_each_noiseless_curve_once_per_call(monkeypatch):
     # a second call integrates as much again: nothing is cached across calls
     verify.run_checks(7, group_filter="becsim")
     assert sum(steps) == 2 * first
-    # a check called on its own integrates its own horizon
+    # on one run, the first curve reader integrates both regimes to t = 200
+    # and the second reads them without integrating
     steps.clear()
-    verify._check_energy_conservation(np.random.default_rng(0), False, 1)
-    assert sum(steps) == 200_000
+    run = verify.Run()
+    rng = np.random.default_rng(0)
+    verify._check_energy_conservation(rng, run)
+    assert sum(steps) == 400_000
+    verify._check_regime_dichotomy(rng, run)
+    assert sum(steps) == 400_000
 
 
 def test_a_nan_fails_the_checks_it_reaches(monkeypatch):
@@ -91,21 +122,21 @@ def test_a_nan_fails_the_checks_it_reaches(monkeypatch):
 @pytest.mark.parametrize(
     "index",
     _NUMBERED,
-    ids=[f"{verify.CHECKS[i][1]}-{verify.CHECKS[i][2].__name__.removeprefix('_check_')}" for i in _NUMBERED],
+    ids=[f"{verify.CHECKS[i][1]}-{verify.CHECKS[i][3].__name__.removeprefix('_check_')}" for i in _NUMBERED],
 )
-def test_criterion(acceptance, index):
-    group, criterion, check = verify.CHECKS[index]
+def test_criterion(acceptance, shared_run, index):
+    group, criterion, name, check = verify.CHECKS[index]
     # the becsim checks draw nothing from their stream
     streams = 1 if group == "becsim" else STREAMS
     results = [
-        check(np.random.default_rng([ACCEPTANCE_SEED, index, stream]), False, 1)
+        check(np.random.default_rng([ACCEPTANCE_SEED, index, stream]), shared_run)
         for stream in range(streams)
     ]
     acceptance(
         criterion,
-        results[0].name,
-        all(r.passed for r in results),
-        f"{streams} stream(s): " + " | ".join(dict.fromkeys(r.detail for r in results)),
+        name,
+        all(passed for passed, _ in results),
+        f"{streams} stream(s): " + " | ".join(dict.fromkeys(detail for _, detail in results)),
     )
 
 

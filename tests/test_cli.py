@@ -124,6 +124,14 @@ class TestQuarterLaw:
         assert float(fields[5]) == pytest.approx(0.26667, abs=5e-6)
         assert float(fields[7]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_shapes_near_the_float_limit_keep_the_quarter_law(self, capsys):
+        code, out, _ = run(
+            ["quarter-law", "--symmetric", "1e308", "--row", "1e308,1e308,1,1,0.5"], capsys
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[5:] for row in rows] == [["0.25", "-0.25", "0"]] * 2
+
     def test_nonpositive_shape_fails_validation(self, capsys):
         code, _, err = run(["quarter-law", "--row", "0,1,1,1,0.5"], capsys)
         assert code == 2

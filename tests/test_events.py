@@ -10,7 +10,7 @@ from qprob.events import (
     to_eigenbasis,
     union_probability,
 )
-from qprob.linalg import SpectralDecomposition
+from qprob.linalg import DEFAULT_TOL, SpectralDecomposition
 from qprob.sampling import random_density, random_observable
 
 
@@ -53,7 +53,7 @@ class TestDensityOperator:
         """States with smallest eigenvalue -k * tol over dims 2-64: accepted
         exactly when eigvalsh puts that eigenvalue at or above -tol, and
         without any eigenvector computation."""
-        tol = 1e-10
+        tol = DEFAULT_TOL
         rng = np.random.default_rng([7, round(1000 * k)])
         states = []
         for dim in range(2, 65):
@@ -71,9 +71,9 @@ class TestDensityOperator:
         for m in states:
             if np.linalg.eigvalsh(m)[0] < -tol:
                 with pytest.raises(ValueError, match="negative eigenvalue"):
-                    DensityOperator(m, tol=tol)
+                    DensityOperator(m)
             else:
-                DensityOperator(m, tol=tol)
+                DensityOperator(m)
 
 
 class TestClampProbability:

@@ -127,6 +127,23 @@ class TestClosedForm:
         assert split.q_plus == 0.25
         assert split.q_minus == -0.25
 
+    @pytest.mark.parametrize("huge", [1e308, math.nextafter(math.inf, 0.0)])
+    def test_shapes_whose_sum_overflows(self, huge):
+        def dist(alpha, beta):
+            return BetaPairDistribution(
+                alpha=alpha, beta=beta, mu=1.0, nu=1.0, lambda_plus=0.5, lambda_minus=0.5
+            )
+
+        assert q_split_closed(BetaPairDistribution.symmetric(huge)) == (0.25, -0.25)
+        assert q_split_closed(dist(huge, huge)) == (0.25, -0.25)
+        assert zero_mean_residual(dist(huge, huge)) == 0.0
+        assert q_split_closed(dist(huge, 0.5 * huge)).q_plus == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha,beta", [(5e-324, 5e-324), (1e-310, 3e-309), (0.3, 1e308), (7.0, 2.0)])
+    def test_finite_shape_sums_keep_the_direct_formula_bits(self, alpha, beta):
+        dist = BetaPairDistribution(alpha=alpha, beta=beta, mu=beta, nu=alpha, lambda_plus=0.4, lambda_minus=0.6)
+        assert q_split_closed(dist) == (alpha * 0.4 / (alpha + beta), -beta * 0.6 / (beta + alpha))
+
     def test_asymmetric_example(self):
         dist = BetaPairDistribution(alpha=2.0, beta=1.0, mu=4.0, nu=5.0, lambda_plus=0.4, lambda_minus=0.6)
         split = q_split_closed(dist)
