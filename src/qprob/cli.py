@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``measure`` (projective outcome probabilities), ``prospect``
-(composite-event p/f/q families), ``quarter-law`` (closed-form and
-quadrature moments of the interference distribution), ``bec-sim``
+(composite-event p/f/q families), ``quarter-law`` (closed-form moments
+of the interference distribution), ``bec-sim``
 (two-mode condensate ensemble) and ``verify`` (the invariant suites).
 
 Flag values override config-file values, which override built-in defaults;
@@ -50,36 +50,31 @@ class CliError(Exception):
     """Input validation failure (exit code 2)."""
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("QPROB_SEED", "0")
+def _env_int(name: str, default: str) -> int:
+    raw = os.environ.get(name, default)
     try:
         return int(raw)
     except ValueError as exc:
-        raise CliError(f"QPROB_SEED must be an integer, got {raw!r}") from exc
+        raise CliError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _env_workers() -> int:
-    raw = os.environ.get("QPROB_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise CliError(f"QPROB_THREADS must be an integer, got {raw!r}") from exc
+    workers = _env_int("QPROB_THREADS", "1")
     if workers < 1:
         raise CliError(f"QPROB_THREADS must be positive, got {workers}")
     return workers
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _read_json_object(path: str, what: str) -> dict[str, Any]:
+    """The JSON object in the file ``path``; ``what`` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise CliError(f"config {path} must hold a JSON object")
-    return config
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"{what} {path} must hold a JSON object")
+    return obj
 
 
 def _has_type(value: Any, kind: Any) -> bool:
@@ -100,7 +95,7 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     """Merge defaults < config file < given flags, check every value's type,
     and take a null seed from ``QPROB_SEED``."""
     options = _COMMANDS[command][2]
-    config = _load_config(args.config)
+    config = {} if args.config is None else _read_json_object(args.config, "config")
     unknown = set(config) - {name for name, *_ in options}
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -113,12 +108,13 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
             raise CliError(f"{name} must be {expected}, got {value!r}")
         merged[name] = value
     if "seed" in merged and merged["seed"] is None:
-        merged["seed"] = _env_seed()
+        merged["seed"] = _env_int("QPROB_SEED", "0")
     return merged
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_row(values) -> str:
+    """One CSV row, each float with the 17 significant digits that round-trip it."""
+    return ",".join(f"{x:.17g}" for x in values)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -185,13 +181,7 @@ def _matrix_from_json(obj: dict[str, Any], path: str) -> np.ndarray:
 
 def _load_state_file(path: str) -> tuple[np.ndarray, dict[str, Any]]:
     """The matrix of a state file, and the file's JSON object."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read state file {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise CliError(f"state file {path} must hold a JSON object")
+    obj = _read_json_object(path, "state file")
     return _matrix_from_json(obj, path), obj
 
 
@@ -329,12 +319,7 @@ def _cmd_quarter_law(config: dict[str, Any]) -> int:
             raise CliError(str(exc)) from exc
         split = quarterlaw.q_split_closed(dist)
         residual = quarterlaw.zero_mean_residual(dist)
-        lines.append(
-            ",".join(
-                _format_float(v)
-                for v in (alpha, beta, mu, nu, lambda_plus, split.q_plus, split.q_minus, residual)
-            )
-        )
+        lines.append(_csv_row((alpha, beta, mu, nu, lambda_plus, split.q_plus, split.q_minus, residual)))
     _write_text(config["out"], "\n".join(lines) + "\n")
     if config["report"] is not None:
         report = _report_skeleton("quarter-law", config)
@@ -376,18 +361,9 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
 
     result = becsim.ensemble_interference(params, workers=_env_workers())
 
-    idx = range(0, params.n_steps + 1, stride)
+    columns = (result.times, result.p1, result.p2, result.f1, result.f2, result.q1, result.q2, result.std_err1)
     lines = ["t,p1,p2,f1,f2,q1,q2,stderr1"]
-    for k in idx:
-        lines.append(
-            ",".join(
-                _format_float(v)
-                for v in (
-                    result.times[k], result.p1[k], result.p2[k], result.f1[k],
-                    result.f2[k], result.q1[k], result.q2[k], result.std_err1[k],
-                )
-            )
-        )
+    lines += [_csv_row(column[k] for column in columns) for k in range(0, params.n_steps + 1, stride)]
     _write_text(config["out"], "\n".join(lines) + "\n")
 
     svg_path = None

@@ -116,10 +116,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def vector(self, n: int) -> np.ndarray:
-        """The n-th eigenvector."""
-        return self.eigenvectors[:, n].copy()
-
     def projector(self, n: int) -> np.ndarray:
         """Rank-one projector onto the n-th eigenvector."""
         v = self.eigenvectors[:, n]

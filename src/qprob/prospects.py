@@ -1,11 +1,13 @@
 """Composite events on a bipartite tensor-product space.
 
 A prospect joins a definite outcome of the first factor with an uncertain
-union over the second.  Its probability splits into a classical part built
-from joint probabilities and an interference part built from the state's
-off-diagonal elements within each first-factor block.  Both factors are
-indexed in their computational bases; states given in other eigenbases can
-be rotated first with :func:`composite_in_eigenbasis`.
+union over the second: within that outcome's first-factor block it is an
+uncertain union, and its probability splits as one does
+(:func:`qprob.uncertain.interference_split`) into a classical part built from
+joint probabilities and an interference part built from the state's
+off-diagonal elements within the block.  Both factors are indexed in their
+computational bases; states given in other eigenbases can be rotated first
+with :func:`composite_in_eigenbasis`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .events import DensityOperator, Observable, clamp_probability
 from .linalg import check_dim, kron, outer
-from .uncertain import IMAG_RESIDUE_TOL, ModeWeights
+from .uncertain import ModeWeights, interference_split
 
 
 class DegenerateProspectError(ValueError):
@@ -74,10 +76,8 @@ class ProspectResult:
 
 
 def joint_probability(state: CompositeState, n: int, alpha: int) -> float:
-    """Probability of the elementary composite event (n, alpha)."""
-    _check_indices(state, n, alpha)
-    entry = state.matrix[n * state.dim_b + alpha, n * state.dim_b + alpha]
-    return clamp_probability(float(entry.real))
+    """Probability of the elementary composite event (n, alpha), a one-outcome standard union."""
+    return standard_union_probability(state, n, (alpha,))
 
 
 def standard_union_probability(state: CompositeState, n: int, alphas: Iterable[int]) -> float:
@@ -92,7 +92,8 @@ def standard_union_probability(state: CompositeState, n: int, alphas: Iterable[i
     if not 0 <= n < state.dim_a:
         raise IndexError(f"first-factor index {n} out of range for dimension {state.dim_a}")
     for alpha in idx:
-        _check_indices(state, n, alpha)
+        if not 0 <= alpha < state.dim_b:
+            raise IndexError(f"second-factor index {alpha} out of range for dimension {state.dim_b}")
     if not idx:
         return 0.0
     p = state.matrix.diagonal().real[[n * state.dim_b + alpha for alpha in sorted(idx)]].sum()
@@ -120,24 +121,16 @@ def mode_pfq(matrix: np.ndarray, dim_a: int, dim_b: int, weights: ModeWeights) -
 
     The matrix-level entry point: it does not require a valid density
     operator, which makes it usable on dephased matrices that have lost
-    positivity.  For each first-factor block B_n the classical part is the
-    weighted block diagonal and the interference part the weighted block
-    off-diagonals; all blocks are taken at once from one strided view.
+    positivity.  Each first-factor block B_n is split by
+    :func:`~qprob.uncertain.interference_split`; all blocks are taken at
+    once from one strided view.
     """
     if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
         raise ValueError(f"matrix shape {matrix.shape} does not match factors {dim_a}x{dim_b}")
-    w = weights.values
-    if w.shape[0] != dim_b:
-        raise ValueError(f"weight length {w.shape[0]} does not match second factor {dim_b}")
-    weight_probs = np.abs(w) ** 2
+    if weights.dim != dim_b:
+        raise ValueError(f"weight length {weights.dim} does not match second factor {dim_b}")
     blocks = np.einsum("nanb->nab", matrix.reshape(dim_a, dim_b, dim_a, dim_b))
-    diag = np.einsum("naa->na", blocks)
-    f = diag.real @ weight_probs
-    interference = (blocks @ w) @ w.conj() - diag @ weight_probs
-    residue = float(np.max(np.abs(interference.imag)))
-    if residue >= IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"interference term has imaginary residue {residue:.3e}; it must be real")
-    q = interference.real
+    f, q = interference_split(blocks, weights)
     return f + q, f, q
 
 
@@ -240,10 +233,3 @@ def composite_in_eigenbasis(state: CompositeState, obs_a: Observable, obs_b: Obs
     u = kron(obs_a.spectral.eigenvectors, obs_b.spectral.eigenvectors)
     rotated = u.conj().T @ state.matrix @ u
     return CompositeState(rho=DensityOperator(rotated), dim_a=state.dim_a, dim_b=state.dim_b)
-
-
-def _check_indices(state: CompositeState, n: int, alpha: int) -> None:
-    if not 0 <= n < state.dim_a:
-        raise IndexError(f"first-factor index {n} out of range for dimension {state.dim_a}")
-    if not 0 <= alpha < state.dim_b:
-        raise IndexError(f"second-factor index {alpha} out of range for dimension {state.dim_b}")

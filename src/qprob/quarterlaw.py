@@ -17,13 +17,15 @@ where the endpoint weight is polynomial, so the two routes check each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-#: Shape-1 branches are evaluated at this offset instead of exactly 0, where
-#: the density diverges; only integrals of the density carry meaning there.
+#: A branch whose density diverges at an end of its support (a shape below 1)
+#: is evaluated at this offset from that end instead; only integrals of the
+#: density carry meaning there.
 PDF_ZERO_OFFSET = 1e-15
 
 #: :func:`solve_balanced` reports a zero-mean residual this large as infeasible.
@@ -95,81 +97,73 @@ class BetaPairDistribution:
         mu = alpha if mu is None else mu
         return cls(alpha=alpha, beta=alpha, mu=mu, nu=mu, lambda_plus=0.5, lambda_minus=0.5)
 
+    @property
+    def branches(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        """(shape, other shape, mass) of the positive and of the negative branch."""
+        return (self.alpha, self.beta, self.lambda_plus), (self.mu, self.nu, self.lambda_minus)
+
 
 def log_beta(a: float, b: float) -> float:
     """log B(a, b) via log-gamma, stable for large shapes."""
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _normalizer(shape: float, other: float, mass: float) -> float:
+    """``mass / B(shape, other)``, which scales a branch's beta integrand or integral."""
+    return mass * math.exp(-log_beta(shape, other))
+
+
 def pdf(dist: BetaPairDistribution, q: float) -> float:
     """Density of the two-sided beta distribution at q in [-1, 1].
 
-    At q = 0 the positive branch limit is returned; for alpha < 1 that limit
-    diverges and the value is capped by evaluating at ``PDF_ZERO_OFFSET``.
+    q >= 0 takes the positive branch at q, q < 0 the negative one at -q.  Where
+    the branch diverges, at 0 for a first shape below 1 or at +-1 for a second
+    shape below 1, the value is capped by evaluating at ``PDF_ZERO_OFFSET``
+    from that end.
     """
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [-1, 1], got {q!r}")
-    if q >= 0.0:
-        if q == 0.0 and dist.alpha < 1.0:
-            q = PDF_ZERO_OFFSET
-        return (
-            dist.lambda_plus
-            * math.exp(-log_beta(dist.alpha, dist.beta))
-            * q ** (dist.alpha - 1.0)
-            * (1.0 - q) ** (dist.beta - 1.0)
-        )
-    a = -q
-    return (
-        dist.lambda_minus
-        * math.exp(-log_beta(dist.mu, dist.nu))
-        * a ** (dist.mu - 1.0)
-        * (1.0 - a) ** (dist.nu - 1.0)
-    )
+    shape, other, mass = dist.branches[q < 0.0]
+    x = -q if q < 0.0 else q
+    if x == 0.0 and shape < 1.0:
+        x = PDF_ZERO_OFFSET
+    elif x == 1.0 and other < 1.0:
+        x = 1.0 - PDF_ZERO_OFFSET
+    return _normalizer(shape, other, mass) * x ** (shape - 1.0) * (1.0 - x) ** (other - 1.0)
 
 
 def _branch_mean(shape: float, other: float, mass: float) -> float:
-    """``shape * mass / (shape + other)``; where the sum overflows both shapes
-    are halved first, which is exact and leaves the ratio unchanged."""
+    """``shape * mass / (shape + other)``.
+
+    Where the sum overflows both shapes are halved first.  Where the product
+    ``shape * mass`` would be subnormal both are scaled up by the power of two
+    that makes it normal, or by less where the sum would overflow.  Either
+    scaling is exact and leaves the ratio unchanged.
+    """
     if math.isinf(shape + other):
         shape, other = 0.5 * shape, 0.5 * other
+    elif mass > 0.0 and shape * mass < sys.float_info.min:
+        e_shape, e_other, e_mass = (math.frexp(x)[1] for x in (shape, other, mass))
+        k = max(0, min(-1020 - e_shape - e_mass, 1022 - max(e_shape, e_other)))
+        shape, other = math.ldexp(shape, k), math.ldexp(other, k)
     return shape * mass / (shape + other)
 
 
 def q_split_closed(dist: BetaPairDistribution) -> QSplit:
     """Closed-form expected positive and negative parts."""
-    return QSplit(
-        q_plus=_branch_mean(dist.alpha, dist.beta, dist.lambda_plus),
-        q_minus=-_branch_mean(dist.mu, dist.nu, dist.lambda_minus),
-    )
+    plus, minus = (_branch_mean(*branch) for branch in dist.branches)
+    return QSplit(q_plus=plus, q_minus=-minus)
 
 
 def q_split_numeric(dist: BetaPairDistribution, tol: float = 1e-10) -> QSplit:
     """Expected parts recomputed by quadrature of q times the density."""
-    plus = (
-        dist.lambda_plus
-        * math.exp(-log_beta(dist.alpha, dist.beta))
-        * _beta_moment(dist.alpha, dist.beta - 1.0, tol=0.1 * tol)
-    )
-    minus = (
-        dist.lambda_minus
-        * math.exp(-log_beta(dist.mu, dist.nu))
-        * _beta_moment(dist.mu, dist.nu - 1.0, tol=0.1 * tol)
-    )
+    plus, minus = (_normalizer(a, b, m) * _beta_moment(a, b - 1.0, tol=0.1 * tol) for a, b, m in dist.branches)
     return QSplit(q_plus=plus, q_minus=-minus)
 
 
 def pdf_normalization(dist: BetaPairDistribution, tol: float = 1e-10) -> float:
     """The total probability mass, recomputed by quadrature of the density."""
-    plus = (
-        dist.lambda_plus
-        * math.exp(-log_beta(dist.alpha, dist.beta))
-        * _beta_moment(dist.alpha - 1.0, dist.beta - 1.0, tol=0.1 * tol)
-    )
-    minus = (
-        dist.lambda_minus
-        * math.exp(-log_beta(dist.mu, dist.nu))
-        * _beta_moment(dist.mu - 1.0, dist.nu - 1.0, tol=0.1 * tol)
-    )
+    plus, minus = (_normalizer(a, b, m) * _beta_moment(a - 1.0, b - 1.0, tol=0.1 * tol) for a, b, m in dist.branches)
     return plus + minus
 
 

@@ -3,7 +3,9 @@
 An uncertain union attaches complex amplitudes to the outcomes of one
 observable; the resulting proposition operator is generally not a projector
 and its probability splits into a classical diagonal part plus an
-interference term, so uncertain unions are not additive.
+interference term, so uncertain unions are not additive.  That split,
+:func:`interference_split`, is also the one of each prospect block in
+:mod:`qprob.prospects`: a prospect block is an uncertain union.
 """
 
 from __future__ import annotations
@@ -102,6 +104,25 @@ def proposition_operator(union: UncertainUnion) -> np.ndarray:
     return outer(state, state)
 
 
+def interference_split(blocks: np.ndarray, weights: ModeWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Classical part f and interference part q of ``<w|B|w> = f + q``.
+
+    ``blocks`` is one Hermitian block B or a stack of them.  f is the
+    |w|^2-weighted diagonal of each block, q its weighted off-diagonals,
+    which are real analytically; an imaginary residue of at least
+    ``IMAG_RESIDUE_TOL`` raises ArithmeticError.
+    """
+    w = weights.values
+    weight_probs = weights.probabilities()
+    diag = blocks.diagonal(axis1=-2, axis2=-1)
+    f = diag.real @ weight_probs
+    interference = (blocks @ w) @ w.conj() - diag @ weight_probs
+    residue = float(np.abs(interference.imag).max())
+    if residue >= IMAG_RESIDUE_TOL:
+        raise ArithmeticError(f"interference term has imaginary residue {residue:.3e}; it must be real")
+    return f, interference.real
+
+
 def uncertain_probability(rho: DensityOperator, union: UncertainUnion) -> UncertainProbability:
     """Probability of an uncertain union in a given state.
 
@@ -113,16 +134,6 @@ def uncertain_probability(rho: DensityOperator, union: UncertainUnion) -> Uncert
     if rho.dim != union.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, union {union.dim}")
     v = union.observable.spectral.eigenvectors
-    rho_eig = v.conj().T @ rho.matrix @ v
-    w = union.weights.values
-    weight_probs = np.abs(w) ** 2
-    diagonal = float(np.dot(weight_probs, rho_eig.diagonal().real))
-    full = np.vdot(w, rho_eig @ w)
-    interference = full - np.dot(weight_probs, rho_eig.diagonal())
-    if abs(interference.imag) >= IMAG_RESIDUE_TOL:
-        raise ArithmeticError(
-            f"interference term has imaginary residue {interference.imag:.3e}; it must be real"
-        )
-    q = float(interference.real)
-    p = clamp_probability(diagonal + q)
-    return UncertainProbability(p=p, diagonal=diagonal, interference=q)
+    f, q = interference_split(v.conj().T @ rho.matrix @ v, union.weights)
+    diagonal, q = float(f), float(q)
+    return UncertainProbability(p=clamp_probability(diagonal + q), diagonal=diagonal, interference=q)

@@ -132,6 +132,11 @@ class TestQuarterLaw:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert [row[5:] for row in rows] == [["0.25", "-0.25", "0"]] * 2
 
+    def test_subnormal_shapes_keep_the_quarter_law(self, capsys):
+        code, out, _ = run(["quarter-law", "--symmetric", "5e-324"], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[5:] == ["0.25", "-0.25", "0"]
+
     def test_nonpositive_shape_fails_validation(self, capsys):
         code, _, err = run(["quarter-law", "--row", "0,1,1,1,0.5"], capsys)
         assert code == 2

@@ -280,6 +280,18 @@ class TestProspectProbabilities:
         res = prospect_probabilities(bell_like_state(), ModeWeights.normalized([1.0, 1.0]), mode="raw")
         assert np.max(np.abs(res.q)) > 0.1
 
+    def test_separable_mixed_state_interferes_like_the_bell_like_state(self):
+        # 1/2 (|0><0| (x) |+><+| + |1><1| (x) |-><-|) is separable, yet with
+        # weights (1, 1)/sqrt(2) its normalized q equals the entangled state's.
+        plus, minus = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, -1.0]) / np.sqrt(2.0)
+        matrix = 0.5 * (kron(np.diag([1.0, 0.0]), outer(plus, plus)) + kron(np.diag([0.0, 1.0]), outer(minus, minus)))
+        state = CompositeState(rho=DensityOperator(matrix), dim_a=2, dim_b=2)
+        weights = ModeWeights.normalized([1.0, 1.0])
+        separable = prospect_probabilities(state, weights, mode="normalized")
+        entangled = prospect_probabilities(bell_like_state(), weights, mode="normalized")
+        assert np.max(np.abs(separable.q - [0.5, -0.5])) < 1e-12
+        assert np.max(np.abs(separable.q - entangled.q)) < 1e-12
+
     def test_decoherence_limit_is_linear(self):
         state = bell_like_state()
         weights = ModeWeights.normalized([1.0, 1.0])

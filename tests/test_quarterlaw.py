@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qprob import quarterlaw
 from qprob.quarterlaw import (
+    PDF_ZERO_OFFSET,
     BetaPairDistribution,
     QuadratureError,
     Infeasible,
@@ -99,6 +101,13 @@ class TestPdf:
         assert math.isfinite(value)
         assert value > 1e5  # huge but capped, not infinite
 
+    def test_divergent_ends_of_the_support_are_capped(self):
+        dist = BetaPairDistribution(alpha=2.0, beta=0.5, mu=3.0, nu=0.5, lambda_plus=0.5, lambda_minus=0.5)
+        for q in (1.0, -1.0):
+            value = pdf(dist, q)
+            assert value == pdf(dist, math.copysign(1.0 - PDF_ZERO_OFFSET, q))
+            assert math.isfinite(value) and value > 1e5
+
     def test_negative_branch(self):
         dist = BetaPairDistribution(alpha=1.0, beta=1.0, mu=2.0, nu=1.0, lambda_plus=0.5, lambda_minus=0.5)
         assert pdf(dist, -0.5) == pytest.approx(0.5, abs=1e-14)
@@ -139,10 +148,23 @@ class TestClosedForm:
         assert zero_mean_residual(dist(huge, huge)) == 0.0
         assert q_split_closed(dist(huge, 0.5 * huge)).q_plus == pytest.approx(1.0 / 3.0, rel=1e-15)
 
-    @pytest.mark.parametrize("alpha,beta", [(5e-324, 5e-324), (1e-310, 3e-309), (0.3, 1e308), (7.0, 2.0)])
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 1e308), (7.0, 2.0)])
     def test_finite_shape_sums_keep_the_direct_formula_bits(self, alpha, beta):
         dist = BetaPairDistribution(alpha=alpha, beta=beta, mu=beta, nu=alpha, lambda_plus=0.4, lambda_minus=0.6)
         assert q_split_closed(dist) == (alpha * 0.4 / (alpha + beta), -beta * 0.6 / (beta + alpha))
+
+    @pytest.mark.parametrize("alpha,beta", [(5e-324, 5e-324), (1e-310, 3e-309), (5e-324, 1e308)])
+    def test_subnormal_shapes_give_the_correctly_rounded_ratio(self, alpha, beta):
+        # The direct formula underflows alpha * 0.4 here: (0.0, -0.5) at the first row.
+        # At the last, scaling alpha up so that the product is normal would overflow beta.
+        dist = BetaPairDistribution(alpha=alpha, beta=beta, mu=beta, nu=alpha, lambda_plus=0.4, lambda_minus=0.6)
+        total = Fraction(alpha) + Fraction(beta)
+        exact = (Fraction(alpha) * Fraction(0.4) / total, -Fraction(beta) * Fraction(0.6) / total)
+        assert q_split_closed(dist) == tuple(float(x) for x in exact)
+
+    @pytest.mark.parametrize("shape", [5e-324, 1e-310, 2e-308])
+    def test_equal_subnormal_shapes_keep_the_quarter_law(self, shape):
+        assert q_split_closed(BetaPairDistribution.symmetric(shape)) == (0.25, -0.25)
 
     def test_asymmetric_example(self):
         dist = BetaPairDistribution(alpha=2.0, beta=1.0, mu=4.0, nu=5.0, lambda_plus=0.4, lambda_minus=0.6)

@@ -3,6 +3,7 @@ import pytest
 
 from qprob.events import DensityOperator, Observable
 from qprob.linalg import outer, trace
+from qprob.prospects import mode_pfq
 from qprob.sampling import random_density, random_observable, random_weights
 from qprob.uncertain import (
     ModeWeights,
@@ -159,3 +160,15 @@ class TestUncertainProbability:
         union = UncertainUnion(Observable.standard(3), random_weights(RNG, 3))
         with pytest.raises(ValueError, match="mismatch"):
             uncertain_probability(DensityOperator.maximally_mixed(2), union)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_is_the_one_block_prospect_split(self, dim):
+        # a prospect block is an uncertain union: one split, the same bits
+        for _ in range(25):
+            rho = random_density(RNG, dim)
+            union = UncertainUnion(random_observable(RNG, dim), random_weights(RNG, dim))
+            v = union.observable.spectral.eigenvectors
+            _, f, q = mode_pfq(v.conj().T @ rho.matrix @ v, 1, dim, union.weights)
+            result = uncertain_probability(rho, union)
+            assert (result.diagonal, result.interference) == (f[0], q[0])
+            assert type(result.diagonal) is float and type(result.interference) is float
