@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__, becsim, quarterlaw, svgplot, verify
 from .events import DensityOperator, Observable, event_probability
-from .linalg import NoConvergenceError, NotHermitianError
+from .linalg import NORMAL_MIN, NoConvergenceError, NotHermitianError, power_of_two_scaled
 from .prospects import (
     CompositeState,
     DegenerateProspectError,
@@ -154,11 +155,24 @@ def _parse_complex_list(text: str) -> np.ndarray:
     return np.array(values, dtype=np.complex128)
 
 
+def _squared_sum(values: np.ndarray) -> float:
+    """The sum of |w_n|^2; where it is 0, subnormal or infinite it is taken
+    over the values scaled by a power of two and scaled back, so that it
+    keeps its bits and raises no overflow warning."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(values) ** 2))
+        if not NORMAL_MIN <= total < math.inf:
+            scaled, e = power_of_two_scaled(values)
+            total = float(np.sum(np.abs(scaled) ** 2)) * 2.0**e * 2.0**e
+    return total
+
+
 def _parse_weights(text: str, strict: bool) -> ModeWeights:
     values = _parse_complex_list(text)
-    total = float(np.sum(np.abs(values) ** 2))
-    if strict and abs(total - 1.0) >= STRICT_WEIGHT_TOL:
-        raise CliError(f"weights are not normalized (squared sum {total!r}) and --strict is set")
+    if strict:
+        total = _squared_sum(values)
+        if abs(total - 1.0) >= STRICT_WEIGHT_TOL:
+            raise CliError(f"weights are not normalized (squared sum {total!r}) and --strict is set")
     try:
         return ModeWeights.normalized(values)
     except ValueError as exc:

@@ -20,6 +20,7 @@ from .linalg import (
     checked_hermitian,
     hermitian_eigen,
     outer,
+    scaled_norm,
 )
 
 #: Probabilities may stick out of [0, 1] by at most this much before the
@@ -41,20 +42,22 @@ class DensityOperator:
     Construction validates all three invariants and fails loudly instead of
     repairing the input; repairing silently would mask caller bugs.  Derived
     states are validated too, all three at tolerance ``DEFAULT_TOL``.
-    Cholesky of ``matrix + DEFAULT_TOL * I`` succeeds exactly when no
-    eigenvalue is below ``-DEFAULT_TOL``; only if it fails are the
-    eigenvalues computed, to decide and to report.
+    Cholesky of a shifted copy, ``matrix`` with ``DEFAULT_TOL`` added to its
+    diagonal, succeeds exactly when no eigenvalue is below ``-DEFAULT_TOL``;
+    only if it fails are the eigenvalues computed, to decide and to report.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = checked_hermitian(self.matrix)
-        tr = float(np.trace(m).real)
+        tr = float(m.trace().real)
         if abs(tr - 1.0) >= DEFAULT_TOL:
             raise ValueError(f"state trace {tr!r} is not 1 within {DEFAULT_TOL}")
+        shifted = m.copy()
+        shifted.reshape(-1)[:: m.shape[0] + 1] += DEFAULT_TOL
         try:
-            np.linalg.cholesky(m + DEFAULT_TOL * np.eye(m.shape[0]))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             smallest = np.linalg.eigvalsh(m)[0]
             if smallest < -DEFAULT_TOL:
@@ -70,8 +73,7 @@ class DensityOperator:
     @classmethod
     def pure(cls, vector) -> "DensityOperator":
         """Rank-one state |v><v| from a (not necessarily normalized) vector."""
-        v = as_vector(vector)
-        norm = np.linalg.norm(v)
+        v, norm = scaled_norm(as_vector(vector))
         if norm == 0.0:
             raise ValueError("cannot build a pure state from the zero vector")
         v = v / norm
@@ -111,6 +113,7 @@ class Observable:
     @classmethod
     def standard(cls, dim: int) -> "Observable":
         """Observable whose eigenbasis is the computational basis, eigenvalue n for mode n."""
+        check_dim(dim)
         return cls(
             SpectralDecomposition(
                 eigenvalues=np.arange(dim, dtype=float),

@@ -6,10 +6,16 @@ to stay small (the eigensolver caps at 64), so clarity beats asymptotics
 throughout.  A Hermitian input is checked once, by one helper, for
 finiteness, squareness, that cap and Hermiticity; the eigensolver and the
 state validation in :mod:`qprob.events` both go through it.
+
+At these sizes a numpy module-level wrapper such as ``np.kron``, ``np.all``,
+``np.max`` or ``np.trace`` costs more than the arithmetic it dispatches, so
+the per-call paths use ndarray methods and broadcast products that run the
+same floating-point operations, bit for bit, without the wrapper.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,9 @@ MAX_KRON_ENTRIES = 2**20
 
 #: Largest dimension accepted by the eigensolver.
 MAX_EIGEN_DIM = 64
+
+#: Smallest positive normal double: a squared norm below it has lost bits.
+NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 
 class NotHermitianError(ValueError):
@@ -38,7 +47,7 @@ def as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector has non-finite entries")
     return arr
 
@@ -48,19 +57,24 @@ def as_matrix(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix has non-finite entries")
     return arr
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product ``a (x) b`` on the combined space."""
+    """Kronecker product ``a (x) b`` on the combined space.
+
+    The broadcast product is the one ``np.kron`` computes after its
+    ``expand_dims`` calls, so the entries are the same bits.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     entries = a.shape[0] * a.shape[1] * b.shape[0] * b.shape[1]
     if entries > MAX_KRON_ENTRIES:
         raise ValueError(f"kron result would have {entries} entries (limit {MAX_KRON_ENTRIES})")
-    return np.kron(a, b)
+    product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def adjoint(a) -> np.ndarray:
@@ -81,6 +95,43 @@ def outer(u, v) -> np.ndarray:
     return np.outer(as_vector(u), as_vector(v).conj())
 
 
+def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(u, |u|)`` for a finite complex vector ``v``, where ``u / |u|`` is
+    the unit vector along ``v`` and ``|u|`` is 0 only for the zero vector.
+
+    ``|u|`` is ``sqrt(Re u . Re u + Im u . Im u)``, the formula
+    ``np.linalg.norm`` evaluates for a complex vector.  ``u`` is ``v`` itself
+    unless that squared norm is 0, subnormal or infinite; then ``u`` is ``v``
+    scaled by the power of two of :func:`power_of_two_scaled`, which brings
+    the squared norm into the normal range without a warning.
+    """
+    squared = _squared_norm(v)
+    if not NORMAL_MIN <= squared < math.inf:
+        v = power_of_two_scaled(v)[0]
+        squared = _squared_norm(v)
+    return v, math.sqrt(squared)
+
+
+def _squared_norm(v: np.ndarray) -> float:
+    re, im = v.real, v.imag
+    with np.errstate(over="ignore"):
+        return float(re.dot(re) + im.dot(im))
+
+
+def power_of_two_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(v * 2**-e, e)``, with ``e`` the exponent that brings the largest
+    real or imaginary part of ``v`` into [1, 2); ``(v, 0)`` for the zero
+    vector and for one with a non-finite entry.  A power of two is applied in
+    two halves, so that neither factor overflows, and each product is exact
+    wherever it is normal."""
+    top = float(max(abs(v.real).max(), abs(v.imag).max()))
+    if top == 0.0 or not math.isfinite(top):
+        return v, 0
+    e = math.frexp(top)[1] - 1
+    half = e // 2
+    return v * 2.0**-half * 2.0 ** (half - e), e
+
+
 def check_dim(dim: int) -> None:
     """Refuse a dimension below 1 or above ``MAX_EIGEN_DIM``; constructors call
     it before they allocate a matrix of that size."""
@@ -97,7 +148,7 @@ def checked_hermitian(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got {a.shape}")
     check_dim(a.shape[0])
-    residual = float(np.max(np.abs(a - a.conj().T)))
+    residual = float(abs(a - a.conj().T).max())
     if residual >= DEFAULT_TOL:
         raise NotHermitianError(f"matrix is not Hermitian within {DEFAULT_TOL} (residual {residual:.3e})")
     return a
@@ -129,7 +180,7 @@ class SpectralDecomposition:
     def gram_residual(self) -> float:
         """Max-norm deviation of the eigenvector Gram matrix from identity."""
         v = self.eigenvectors
-        return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
+        return float(abs(v.conj().T @ v - np.eye(self.dim)).max())
 
 
 def hermitian_eigen(a) -> SpectralDecomposition:

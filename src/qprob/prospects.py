@@ -129,7 +129,7 @@ def mode_pfq(matrix: np.ndarray, dim_a: int, dim_b: int, weights: ModeWeights) -
         raise ValueError(f"matrix shape {matrix.shape} does not match factors {dim_a}x{dim_b}")
     if weights.dim != dim_b:
         raise ValueError(f"weight length {weights.dim} does not match second factor {dim_b}")
-    blocks = np.einsum("nanb->nab", matrix.reshape(dim_a, dim_b, dim_a, dim_b))
+    blocks = matrix.reshape(dim_a, dim_b, dim_a, dim_b).diagonal(0, 0, 2).transpose(2, 0, 1)
     f, q = interference_split(blocks, weights)
     return f + q, f, q
 
@@ -150,8 +150,8 @@ def prospect_probabilities(
     if mode not in ("raw", "normalized"):
         raise ValueError(f"unknown mode {mode!r}")
     p, f, q = mode_pfq(state.matrix, state.dim_a, state.dim_b, b)
-    p = np.array([clamp_probability(v) for v in p])
-    f = np.array([clamp_probability(v) for v in f])
+    p = np.array([clamp_probability(v) for v in p.tolist()])
+    f = np.array([clamp_probability(v) for v in f.tolist()])
     if mode == "raw":
         return ProspectResult(p=p, f=f, q=q, mode="raw")
     sum_p = float(p.sum())

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -40,6 +42,11 @@ class TestMeasure:
         code, _, err = run(["measure", "--state", "diag:0.3,0.3"], capsys)
         assert code == 2
         assert "trace" in err
+
+    def test_pure_state_with_a_subnormal_squared_norm(self, capsys):
+        code, out, err = run(["measure", "--state", "pure:1e-160,1e-160"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["probabilities"] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 class TestProspect:
@@ -97,6 +104,24 @@ class TestProspect:
             ["prospect", "--preset", "bell-like", "--weights", "0.5+0.5j,0.5-0.5j"], capsys
         )
         assert code == 0
+
+    @pytest.mark.parametrize("scale", ["1e-160", "1e-200", "1e200"])
+    def test_weights_outside_the_normal_range_normalize(self, capsys, scale):
+        # their squared norm is subnormal, underflows or overflows
+        code, out, err = run(["prospect", "--weights", f"{scale},{scale}"], capsys)
+        assert code == 0 and err == ""
+        code, reference, _ = run(["prospect", "--weights", "1,1"], capsys)
+        got, expected = json.loads(out)["result"]["raw"], json.loads(reference)["result"]["raw"]
+        for family in ("p", "f", "q"):
+            assert np.max(np.abs(np.subtract(got[family], expected[family]))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "weights, total", [("1e-160,1e-160", "2e-320"), ("1e200,1e200", "inf"), ("1e200,inf", "inf")]
+    )
+    def test_strict_sum_outside_the_normal_range(self, capsys, weights, total):
+        code, _, err = run(["prospect", "--weights", weights, "--strict"], capsys)
+        assert code == 2
+        assert err == f"error: weights are not normalized (squared sum {total}) and --strict is set\n"
 
 
 class TestQuarterLaw:
@@ -635,6 +660,16 @@ class TestVerify:
         assert code == 0
         assert report_path.read_bytes() == first
         assert out1 == out2
+
+    def test_runs_as_a_module(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "qprob", "verify", "--filter", "events"],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().endswith("checks passed")
 
     def test_unknown_filter(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -48,6 +48,26 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="exceeds supported maximum 64"):
             DensityOperator(np.eye(65, dtype=complex) / 65)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-320, 1e200, 1.7e308])
+    def test_pure_state_of_a_vector_outside_the_normal_range(self, scale):
+        # the squared norm underflows, turns subnormal or overflows
+        expected = DensityOperator.pure([1.0, 1.0j]).matrix
+        got = DensityOperator.pure([scale, scale * 1j]).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_pure_refuses_the_zero_vector(self):
+        with pytest.raises(ValueError, match="cannot build a pure state from the zero vector"):
+            DensityOperator.pure([0.0, 0.0])
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_construction_leaves_the_callers_matrix_alone(self, writeable):
+        m = random_density(RNG, 4).matrix.copy()
+        m.setflags(write=writeable)
+        before = m.tobytes()
+        rho = DensityOperator(m)
+        assert m.tobytes() == before and m.flags.writeable == writeable
+        assert rho.matrix is not m and rho.matrix.tobytes() == before
+
     @pytest.mark.parametrize("k", [0.0, 0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0, 1000.0])
     def test_positivity_agrees_with_eigvalsh_at_the_tolerance(self, monkeypatch, k):
         """States with smallest eigenvalue -k * tol over dims 2-64: accepted
@@ -91,6 +111,11 @@ class TestClampProbability:
 
 
 class TestProjector:
+    @pytest.mark.parametrize("dim, message", [(0, "positive"), (-1, "positive"), (65, "exceeds supported maximum 64")])
+    def test_standard_observable_checks_its_dimension(self, dim, message):
+        with pytest.raises(ValueError, match=message):
+            Observable.standard(dim)
+
     def test_standard_basis(self):
         obs = Observable.standard(2)
         assert np.allclose(projector(obs, 0), np.diag([1.0, 0.0]))

@@ -47,7 +47,19 @@ class TestKron:
 
     def test_matches_entrywise_oracle(self):
         a, b = random_complex_matrix(3), random_complex_matrix(3)
-        assert np.allclose(kron(a, b), kron_oracle(a, b), atol=0)
+        assert np.allclose(kron(a, b), kron_oracle(a, b), rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, complex_entries",
+        [((3, 3), (2, 2), False), ((3, 3), (2, 2), True), ((2, 5), (4, 1), True), ((1, 3), (3, 2), False)],
+    )
+    def test_equals_np_kron_bit_for_bit(self, shape_a, shape_b, complex_entries):
+        for _ in range(10):
+            a = RNG.standard_normal(shape_a) + (1j * RNG.standard_normal(shape_a) if complex_entries else 0.0)
+            b = RNG.standard_normal(shape_b) + (1j * RNG.standard_normal(shape_b) if complex_entries else 0.0)
+            got = kron(a, b)
+            expected = np.kron(a.astype(complex), b.astype(complex))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_trace_factorizes(self):
         a, b = random_complex_matrix(3), random_complex_matrix(3)

@@ -197,6 +197,12 @@ class TestProspectStateOperator:
 
 
 class TestProspectProbabilities:
+    def test_dust_violation_prints_a_plain_float(self, monkeypatch):
+        family = np.array([1.5, -0.5])
+        monkeypatch.setattr("qprob.prospects.mode_pfq", lambda *args: (family, family, family))
+        with pytest.raises(ArithmeticError, match=r"^probability 1\.5 violates"):
+            prospect_probabilities(bell_like_state(), ModeWeights.normalized([1.0, 1.0]))
+
     def test_bell_like_frozen_values(self):
         state = bell_like_state()
         weights = ModeWeights.normalized([1.0, 1.0])
@@ -226,6 +232,15 @@ class TestProspectProbabilities:
         for pfq in (mode_pfq, mode_pfq_loop):
             with pytest.raises(ArithmeticError, match="imaginary residue 5.000e-01"):
                 pfq(matrix, 2, 2, weights)
+
+    @pytest.mark.parametrize("nan_block", [0, 1])
+    def test_mode_pfq_reports_no_residue_next_to_a_nan_block(self, nan_block):
+        # the residue is a NaN-propagating max, wherever the NaN block sits
+        matrix = np.zeros((4, 4), dtype=complex)
+        matrix[2 - 2 * nan_block, 3 - 2 * nan_block] = 1j
+        matrix[2 * nan_block, 2 * nan_block] = complex(0.0, np.nan)
+        p, f, q = mode_pfq(matrix, 2, 2, ModeWeights.normalized(np.ones(2)))
+        assert np.isnan(q[nan_block]) and not np.isnan(q[1 - nan_block])
 
     def test_matches_dense_oracle(self):
         for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):

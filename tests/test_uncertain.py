@@ -53,8 +53,23 @@ class TestModeWeights:
         assert np.allclose(w.values, [1 / np.sqrt(2)] * 2)
 
     def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ValueError, match="cannot normalize the zero amplitude vector"):
             ModeWeights.normalized([0.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-320, 1e200, 1.7e308])
+    def test_normalizes_a_vector_outside_the_normal_range(self, scale):
+        # the squared norm underflows, turns subnormal or overflows
+        expected = ModeWeights.normalized([1.0, -1.0j, 0.5])
+        got = ModeWeights.normalized([scale, -scale * 1j, 0.5 * scale])
+        assert np.max(np.abs(got.values - expected.values)) <= 1e-15
+        assert np.max(np.abs(got.probabilities() - expected.probabilities())) <= 1e-15
+
+    def test_probabilities_are_read_only_squared_magnitudes(self):
+        w = random_weights(RNG, 5)
+        probabilities = w.probabilities()
+        assert probabilities.tobytes() == (np.abs(w.values) ** 2).tobytes()
+        with pytest.raises(ValueError):
+            probabilities[0] = 0.0
 
     def test_length_must_match_observable(self):
         with pytest.raises(ValueError, match="length"):
