@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .events import DensityOperator, Observable, clamp_probability
-from .linalg import DEFAULT_TOL, as_vector, outer, scaled_norm
+from .linalg import DEFAULT_TOL, NORMAL_MIN, as_vector, outer, power_of_two_scaled, scaled_norm
 
 #: The interference term is real analytically; a larger imaginary residue
 #: indicates a bug, not rounding.
@@ -28,8 +28,10 @@ class ModeWeights:
     """Complex amplitudes over the modes of one observable.
 
     The squared magnitudes act as weights, so construction requires them to
-    sum to one; use :meth:`normalized` to rescale raw amplitudes explicitly
-    instead of relying on hidden rescaling.
+    sum to one within ``DEFAULT_TOL``; use :meth:`normalized` to rescale raw
+    amplitudes explicitly instead of relying on hidden rescaling.  A sum that
+    is 0, subnormal or infinite is reported as the true sum, taken after a
+    power-of-two scaling, with no overflow warning.
     """
 
     values: np.ndarray
@@ -37,8 +39,14 @@ class ModeWeights:
 
     def __post_init__(self) -> None:
         v = as_vector(self.values)
-        probabilities = abs(v) ** 2
-        total = float(probabilities.sum())
+        magnitudes = abs(v)
+        top, total = magnitudes.item(magnitudes.argmax()), np.inf
+        if top * top * v.size < 2.0**1023:  # no square or sum overflows; cheaper than errstate
+            probabilities = magnitudes**2
+            total = float(probabilities.sum())
+        if not NORMAL_MIN <= total < np.inf:  # far from 1: only the message needs it
+            scaled, e = power_of_two_scaled(v)
+            total = float((abs(scaled) ** 2).sum()) * 2.0**e * 2.0**e
         if abs(total - 1.0) >= DEFAULT_TOL:
             raise ValueError(f"squared weights sum to {total!r}, not 1 within {DEFAULT_TOL}")
         v = v.copy()

@@ -82,7 +82,7 @@ class TestProspect:
             capsys,
         )
         assert code == 2
-        assert "not normalized" in err
+        assert err == "error: squared weights sum to 0.9999808199999999, not 1 within 1e-10\n"
 
     def test_state_file_round_trip(self, capsys, tmp_path):
         matrix = np.zeros((4, 4))
@@ -116,12 +116,32 @@ class TestProspect:
             assert np.max(np.abs(np.subtract(got[family], expected[family]))) <= 1e-15
 
     @pytest.mark.parametrize(
-        "weights, total", [("1e-160,1e-160", "2e-320"), ("1e200,1e200", "inf"), ("1e200,inf", "inf")]
+        "weights, message",
+        [
+            pytest.param("1e-160,1e-160", "squared weights sum to 2e-320, not 1 within 1e-10", id="1e-160,1e-160-2e-320"),
+            pytest.param("1e200,1e200", "squared weights sum to inf, not 1 within 1e-10", id="1e200,1e200-inf"),
+            pytest.param("1e200,inf", "vector has non-finite entries", id="1e200,inf-inf"),
+        ],
     )
-    def test_strict_sum_outside_the_normal_range(self, capsys, weights, total):
+    def test_strict_sum_outside_the_normal_range(self, capsys, weights, message):
         code, _, err = run(["prospect", "--weights", weights, "--strict"], capsys)
         assert code == 2
-        assert err == f"error: weights are not normalized (squared sum {total}) and --strict is set\n"
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prospect", "--weights", "0,0"], "cannot normalize the zero amplitude vector"),
+        (["prospect", "--weights", "1,1,1"], "weight length 3 does not match second factor 2"),
+        (["quarter-law", "--row", "0,1,1,1,0.5"], "shape alpha must be positive and finite, got 0.0"),
+        (["quarter-law", "--row", "1,1,1,1,1.5"], "lambda_plus must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_library_value_errors_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestQuarterLaw:

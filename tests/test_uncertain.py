@@ -56,6 +56,16 @@ class TestModeWeights:
         with pytest.raises(ValueError, match="cannot normalize the zero amplitude vector"):
             ModeWeights.normalized([0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "values, total", [([1e200, 1e200], "inf"), ([1e200, 0.0], "inf"), ([1e-160, 1e-160], "2e-320")]
+    )
+    def test_reports_a_sum_outside_the_normal_range(self, values, total):
+        # warnings are errors here, so an overflow in the squaring would fail it
+        with pytest.raises(ValueError) as info:
+            ModeWeights(values)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"squared weights sum to {total}, not 1 within 1e-10"
+
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-320, 1e200, 1.7e308])
     def test_normalizes_a_vector_outside_the_normal_range(self, scale):
         # the squared norm underflows, turns subnormal or overflows
