@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, becsim, quarterlaw, svgplot, verify
 from .events import DensityOperator, Observable, event_probability
-from .linalg import NoConvergenceError, NotHermitianError
+from .linalg import NoConvergenceError
 from .prospects import (
     CompositeState,
     DegenerateProspectError,
@@ -186,22 +186,18 @@ def _cmd_measure(config: dict[str, Any]) -> int:
     dim = config["dim"]
     if dim < 1:
         raise CliError(f"dimension must be positive, got {dim}")
-    try:
-        if spec.startswith("diag:"):
-            probs = [float(x) for x in spec[5:].split(",")]
-            rho = DensityOperator.diagonal(probs)
-        elif spec.startswith("pure:"):
-            rho = DensityOperator.pure(_parse_complex_list(spec[5:]))
-        elif spec.startswith("file:"):
-            rho = DensityOperator(_load_state_file(spec[5:])[0])
-        elif spec == "maxmix":
-            rho = DensityOperator.maximally_mixed(dim)
-        elif spec == "random":
-            rho = random_density(np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF), dim)
-        else:
-            raise CliError(f"unknown state spec {spec!r}; use diag:..., pure:..., file:..., maxmix or random")
-    except ValueError as exc:  # so a NotHermitianError input exits 2, not 3
-        raise CliError(str(exc)) from exc
+    if spec.startswith("diag:"):
+        rho = DensityOperator.diagonal([float(x) for x in spec[5:].split(",")])
+    elif spec.startswith("pure:"):
+        rho = DensityOperator.pure(_parse_complex_list(spec[5:]))
+    elif spec.startswith("file:"):
+        rho = DensityOperator(_load_state_file(spec[5:])[0])
+    elif spec == "maxmix":
+        rho = DensityOperator.maximally_mixed(dim)
+    elif spec == "random":
+        rho = random_density(np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF), dim)
+    else:
+        raise CliError(f"unknown state spec {spec!r}; use diag:..., pure:..., file:..., maxmix or random")
     obs = Observable.standard(rho.dim)
     probabilities = [event_probability(rho, obs, n) for n in range(rho.dim)]
     total = float(sum(probabilities))
@@ -238,10 +234,7 @@ def _prospect_state_from_config(config: dict[str, Any]) -> CompositeState:
     for field in ("dim_a", "dim_b"):
         if not _has_type(obj.get(field), int):
             raise CliError(f"state file {path}: {field} must be an integer, got {obj.get(field)!r}")
-    try:
-        return CompositeState(rho=DensityOperator(matrix), dim_a=obj["dim_a"], dim_b=obj["dim_b"])
-    except ValueError as exc:  # so a NotHermitianError input exits 2, not 3
-        raise CliError(str(exc)) from exc
+    return CompositeState(rho=DensityOperator(matrix), dim_a=obj["dim_a"], dim_b=obj["dim_b"])
 
 
 def _cmd_prospect(config: dict[str, Any]) -> int:
@@ -341,7 +334,7 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
     except becsim.DenominatorVanishes as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except (ValueError, OverflowError) as exc:  # an integer beyond the float range overflows
+    except OverflowError as exc:  # an integer beyond the float range; main sends ArithmeticError to 3
         raise CliError(str(exc)) from exc
     # the step count is known once the params are valid; the plot needs two rows
     if config["plot"] and stride > params.n_steps:
@@ -500,8 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
-    except (becsim.StepRejected, quarterlaw.QuadratureError, NotHermitianError,
-            NoConvergenceError, DegenerateProspectError, ArithmeticError) as exc:
+    except (becsim.StepRejected, quarterlaw.QuadratureError, NoConvergenceError,
+            DegenerateProspectError, ArithmeticError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -17,6 +17,7 @@ from .linalg import (
     SpectralDecomposition,
     as_vector,
     check_dim,
+    check_outcomes,
     checked_hermitian,
     hermitian_eigen,
     outer,
@@ -129,17 +130,18 @@ class Observable:
 
 def projector(obs: Observable, n: int) -> np.ndarray:
     """Projector onto the n-th eigenvector of the observable."""
-    if not 0 <= n < obs.dim:
-        raise IndexError(f"mode index {n} out of range for dimension {obs.dim}")
     return obs.spectral.projector(n)
+
+
+def _check_same_dim(rho: DensityOperator, obs: Observable) -> None:
+    if rho.dim != obs.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
 
 
 def event_probability(rho: DensityOperator, obs: Observable, n: int) -> float:
     """Probability of observing outcome ``n``: the trace of rho against P_n."""
-    if rho.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
-    if not 0 <= n < obs.dim:
-        raise IndexError(f"mode index {n} out of range for dimension {obs.dim}")
+    _check_same_dim(rho, obs)
+    check_outcomes((n,), obs.dim)
     v = obs.spectral.eigenvectors[:, n]
     p = np.vdot(v, rho.matrix @ v)
     return clamp_probability(float(p.real))
@@ -151,12 +153,9 @@ def union_probability(rho: DensityOperator, obs: Observable, indices: Iterable[i
     Computed as the sum of v^H rho v over the selected eigenvectors, which is
     the trace of rho against the summed projector without building it.
     """
+    _check_same_dim(rho, obs)
     idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in union: {idx}")
-    for n in idx:
-        if not 0 <= n < obs.dim:
-            raise IndexError(f"mode index {n} out of range for dimension {obs.dim}")
+    check_outcomes(idx, obs.dim)
     if not idx:
         return 0.0
     v = obs.spectral.eigenvectors[:, idx]
@@ -170,7 +169,6 @@ def to_eigenbasis(rho: DensityOperator, obs: Observable) -> DensityOperator:
     In the returned state the (m, n) entry is <m|rho|n> taken between the
     observable's eigenvectors.
     """
-    if rho.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
+    _check_same_dim(rho, obs)
     v = obs.spectral.eigenvectors
     return DensityOperator(v.conj().T @ rho.matrix @ v)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -141,6 +142,16 @@ def check_dim(dim: int) -> None:
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_EIGEN_DIM}")
 
 
+def check_outcomes(indices: Sequence[int], dim: int, what: str = "mode") -> None:
+    """Refuse outcome ``indices`` that repeat one (``ValueError``) or leave
+    [0, dim) (``IndexError``); ``what`` names the index in the message."""
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"duplicate indices in union: {indices}")
+    for n in indices:
+        if not 0 <= n < dim:
+            raise IndexError(f"{what} index {n} out of range for dimension {dim}")
+
+
 def checked_hermitian(a) -> np.ndarray:
     """``a`` as a finite square matrix, at most ``MAX_EIGEN_DIM`` wide, with
     ``|a - a^H|`` below ``DEFAULT_TOL`` in max-norm."""
@@ -169,6 +180,7 @@ class SpectralDecomposition:
 
     def projector(self, n: int) -> np.ndarray:
         """Rank-one projector onto the n-th eigenvector."""
+        check_outcomes((n,), self.dim)
         v = self.eigenvectors[:, n]
         return outer(v, v)
 

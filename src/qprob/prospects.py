@@ -19,7 +19,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .events import DensityOperator, Observable, clamp_probability
-from .linalg import check_dim, kron, outer
+from .linalg import check_dim, check_outcomes, kron, outer
 from .uncertain import ModeWeights, interference_split
 
 
@@ -87,13 +87,8 @@ def standard_union_probability(state: CompositeState, n: int, alphas: Iterable[i
     (n * dim_b + alpha) it selects; additivity is a tested property.
     """
     idx = list(alphas)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate indices in union: {idx}")
-    if not 0 <= n < state.dim_a:
-        raise IndexError(f"first-factor index {n} out of range for dimension {state.dim_a}")
-    for alpha in idx:
-        if not 0 <= alpha < state.dim_b:
-            raise IndexError(f"second-factor index {alpha} out of range for dimension {state.dim_b}")
+    check_outcomes((n,), state.dim_a, "first-factor")
+    check_outcomes(idx, state.dim_b, "second-factor")
     if not idx:
         return 0.0
     p = state.matrix.diagonal().real[[n * state.dim_b + alpha for alpha in sorted(idx)]].sum()
@@ -102,8 +97,7 @@ def standard_union_probability(state: CompositeState, n: int, alphas: Iterable[i
 
 def prospect_state(pr: Prospect, dim_a: int) -> np.ndarray:
     """The product vector placing the weight amplitudes into block ``n``."""
-    if not 0 <= pr.n < dim_a:
-        raise IndexError(f"mode index {pr.n} out of range for dimension {dim_a}")
+    check_outcomes((pr.n,), dim_a)
     dim_b = pr.weights.dim
     state = np.zeros(dim_a * dim_b, dtype=np.complex128)
     state[pr.n * dim_b : (pr.n + 1) * dim_b] = pr.weights.values

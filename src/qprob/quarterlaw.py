@@ -119,7 +119,9 @@ def pdf(dist: BetaPairDistribution, q: float) -> float:
     q >= 0 takes the positive branch at q, q < 0 the negative one at -q.  Where
     the branch diverges, at 0 for a first shape below 1 or at +-1 for a second
     shape below 1, the value is capped by evaluating at ``PDF_ZERO_OFFSET``
-    from that end.
+    from that end.  The density is formed in logs, so that neither ``1/B``
+    nor the powers overflow at large shapes; a factor with exponent 0 at its
+    zero is 1, one with a positive exponent there makes the density 0.
     """
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [-1, 1], got {q!r}")
@@ -129,7 +131,11 @@ def pdf(dist: BetaPairDistribution, q: float) -> float:
         x = PDF_ZERO_OFFSET
     elif x == 1.0 and other < 1.0:
         x = 1.0 - PDF_ZERO_OFFSET
-    return _normalizer(shape, other, mass) * x ** (shape - 1.0) * (1.0 - x) ** (other - 1.0)
+    if x == 0.0 and shape > 1.0 or x == 1.0 and other > 1.0:
+        return 0.0
+    log_x = 0.0 if x == 0.0 else (shape - 1.0) * math.log(x)
+    log_rest = 0.0 if x == 1.0 else (other - 1.0) * math.log1p(-x)
+    return mass * math.exp(log_x + log_rest - log_beta(shape, other))
 
 
 def _branch_mean(shape: float, other: float, mass: float) -> float:

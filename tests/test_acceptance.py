@@ -232,33 +232,49 @@ def test_criterion_10_verify_determinism(acceptance, tmp_path):
     # A minimal env keeps a caller's QPROB_SEED / QPROB_THREADS out of the
     # child; PYTHONPATH points at the very qprob this process imported, so
     # the child runs the code under test whether it is installed or not.
+    # verify's 200-path ensemble is one chunk, so its run starts no pool; the
+    # bec-sim run has two chunks of becsim.CHUNK_PATHS, so at QPROB_THREADS=4
+    # it merges them from a worker pool.
     package_root = str(Path(qprob.__file__).resolve().parent.parent)
-    outputs = []
+    paths = becsim.CHUNK_PATHS + 76
+    commands = {
+        "verify": (["verify", "--seed", "7", "--out", "verify.json"], ["verify.json"]),
+        "bec-sim": (
+            ["bec-sim", "--paths", str(paths), "--tmax", "1", "--seed", "4", "--out", "sim.csv", "--report", "sim.json"],
+            ["sim.csv", "sim.json"],
+        ),
+    }
+    outputs = {name: [] for name in commands}
     for threads in ("1", "4"):
-        # Each run writes its own report.  The report echoes --out, so both
-        # runs pass the same relative name, each from its own directory.
+        # Each run writes its own files.  Reports echo their paths, so both
+        # runs pass the same relative names, each from its own directory.
         run_dir = tmp_path / f"threads_{threads}"
         run_dir.mkdir()
-        report = run_dir / "verify.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "qprob.cli", "verify", "--seed", "7", "--out", report.name],
-            capture_output=True,
-            cwd=run_dir,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "QPROB_THREADS": threads},
-        )
-        if proc.returncode != 0 or not report.is_file():
-            acceptance(
-                10,
-                "verify-run-determinism",
-                False,
-                f"QPROB_THREADS={threads} exited {proc.returncode}"
-                f"{'' if report.is_file() else ' without a report'}: {proc.stderr.decode()}",
+        for name, (argv, files) in commands.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "qprob.cli", *argv],
+                capture_output=True,
+                cwd=run_dir,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "QPROB_THREADS": threads},
             )
-        outputs.append((proc.stdout, report.read_bytes()))
-    identical = outputs[0] == outputs[1]
+            missing = [f for f in files if not (run_dir / f).is_file()]
+            if proc.returncode != 0 or missing:
+                acceptance(
+                    10,
+                    "verify-run-determinism",
+                    False,
+                    f"{name} at QPROB_THREADS={threads} exited {proc.returncode}"
+                    f"{f' without {missing}' if missing else ''}: {proc.stderr.decode()}",
+                )
+            outputs[name].append([proc.stdout] + [(run_dir / f).read_bytes() for f in files])
+    differing = [name for name, runs in outputs.items() if runs[0] != runs[1]]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = f"on {min(4, 2, cpus)} pool workers" if cpus > 1 else "serially, as one usable CPU starts no pool"
     acceptance(
         10,
         "verify-run-determinism",
-        identical,
-        f"stdout and report bytes identical across QPROB_THREADS (exit 0, {len(outputs[0][1])} report bytes)",
+        not differing,
+        f"verify (stdout, {len(outputs['verify'][0][1])}-byte report) and bec-sim (CSV, report) outputs"
+        f" {'differ for ' + ' and '.join(differing) if differing else 'identical'} across QPROB_THREADS 1 and 4;"
+        f" bec-sim's {paths} paths in two chunks ran {pool}",
     )

@@ -16,7 +16,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qprob import becsim, cli
-from qprob.linalg import MAX_EIGEN_DIM
+from qprob.linalg import MAX_EIGEN_DIM, NoConvergenceError, NotHermitianError
+from qprob.prospects import DegenerateProspectError
+from qprob.quarterlaw import QuadratureError
 
 
 def run(argv, capsys):
@@ -142,6 +144,39 @@ def test_library_value_errors_exit_2_with_their_message(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (NotHermitianError("raised"), 2, "error: "),
+        (ValueError("raised"), 2, "error: "),
+        (cli.CliError("raised"), 2, "error: "),
+        (becsim.StepRejected("raised"), 3, "numerical failure: "),
+        (QuadratureError("raised"), 3, "numerical failure: "),
+        (NoConvergenceError("raised"), 3, "numerical failure: "),
+        (DegenerateProspectError("raised"), 3, "numerical failure: "),
+        (ArithmeticError("raised"), 3, "numerical failure: "),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_main_maps_each_library_error_to_one_exit_code(capsys, monkeypatch, exc, code, prefix):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "event_probability", failing)
+    assert run(["measure"], capsys) == (code, "", f"{prefix}raised\n")
+
+
+@pytest.mark.parametrize("command", ["measure", "prospect"])
+def test_non_hermitian_state_file_exits_2(capsys, tmp_path, command):
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"matrix_re": [[0.5, 0.5], [0.0, 0.5]], "dim_a": 1, "dim_b": 2}))
+    argv = (["measure", "--state", f"file:{state_path}"] if command == "measure"
+            else ["prospect", "--preset", "file", "--state-file", str(state_path)])
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix is not Hermitian within 1e-10 (residual 5.000e-01)\n"
 
 
 class TestQuarterLaw:

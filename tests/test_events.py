@@ -208,6 +208,11 @@ class TestUnionProbability:
         with pytest.raises(IndexError):
             union_probability(DensityOperator.maximally_mixed(2), Observable.standard(2), [0, 5])
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError) as excinfo:
+            union_probability(DensityOperator.maximally_mixed(2), Observable.standard(3), [0, 1])
+        assert str(excinfo.value) == "dimension mismatch: state 2, observable 3"
+
 
 def test_to_eigenbasis_diagonal_matches_probabilities():
     rho = random_density(RNG, 4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qprob.events import DensityOperator, Observable
+from qprob.events import DensityOperator, Observable, event_probability, projector, union_probability
 from qprob.linalg import kron, outer, trace
 from qprob.prospects import (
     CompositeState,
@@ -158,6 +158,41 @@ class TestStandardUnion:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             standard_union_probability(max_entangled_state(2), 0, [1, 1])
+
+
+_OBS = Observable.standard(3)
+_MIXED = DensityOperator.maximally_mixed(3)
+_PAIR = max_entangled_state(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _OBS.spectral.projector(-1), IndexError, "mode index -1 out of range for dimension 3"),
+        (lambda: _OBS.spectral.projector(3), IndexError, "mode index 3 out of range for dimension 3"),
+        (lambda: projector(_OBS, 3), IndexError, "mode index 3 out of range for dimension 3"),
+        (lambda: event_probability(_MIXED, _OBS, -1), IndexError, "mode index -1 out of range for dimension 3"),
+        (lambda: union_probability(_MIXED, _OBS, [0, 3]), IndexError, "mode index 3 out of range for dimension 3"),
+        (lambda: union_probability(_MIXED, _OBS, [1, 1]), ValueError, "duplicate indices in union: [1, 1]"),
+        (lambda: standard_union_probability(_PAIR, 2, [0]), IndexError,
+         "first-factor index 2 out of range for dimension 2"),
+        (lambda: standard_union_probability(_PAIR, 0, [0, -1]), IndexError,
+         "second-factor index -1 out of range for dimension 2"),
+        (lambda: standard_union_probability(_PAIR, 0, [1, 1]), ValueError, "duplicate indices in union: [1, 1]"),
+        (lambda: prospect_state(Prospect(n=2, weights=ModeWeights.normalized([1, 1])), 2), IndexError,
+         "mode index 2 out of range for dimension 2"),
+    ],
+    ids=[
+        "spectral-projector-negative", "spectral-projector-dim", "events-projector", "event-probability",
+        "union-range", "union-duplicate", "standard-union-first", "standard-union-second",
+        "standard-union-duplicate", "prospect-state",
+    ],
+)
+def test_outcome_index_rule_at_every_call_site(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 class TestProspectStateOperator:

@@ -26,6 +26,19 @@ RNG = np.random.default_rng(2718)
 shapes = st.floats(min_value=0.3, max_value=10.0, allow_nan=False)
 
 
+def power_form_pdf(dist, q):
+    """Reference for :func:`pdf`: the normalizer times the two powers, with
+    the same ``PDF_ZERO_OFFSET`` rule; it overflows beyond shapes of a few
+    hundred, where :func:`pdf` stays finite."""
+    shape, other, mass = dist.branches[q < 0.0]
+    x = abs(q)
+    if x == 0.0 and shape < 1.0:
+        x = PDF_ZERO_OFFSET
+    elif x == 1.0 and other < 1.0:
+        x = 1.0 - PDF_ZERO_OFFSET
+    return mass * math.exp(-log_beta(shape, other)) * x ** (shape - 1.0) * (1.0 - x) ** (other - 1.0)
+
+
 def adaptive_gauss_rebisect(f, lo, hi, tol):
     """The adaptive quadrature before each panel carried its estimate: every
     popped panel is integrated again.  Kept as the oracle of ``_adaptive_gauss``."""
@@ -116,6 +129,29 @@ class TestPdf:
         for _ in range(50):
             dist = random_symmetric_mass_distribution(RNG)
             assert pdf_normalization(dist) == pytest.approx(1.0, abs=1e-10)
+
+    def test_large_symmetric_shape_stays_finite(self):
+        # Beta(a, a) at 1/2 is 2 Gamma(a + 1/2) / (Gamma(a) sqrt(pi)) by the
+        # duplication formula; 1/B(1000, 1000) alone overflows a double.
+        expected = math.exp(math.lgamma(1000.5) - math.lgamma(1000.0)) / math.sqrt(math.pi)
+        assert pdf(BetaPairDistribution.symmetric(1000.0), 0.5) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("shape, other", [(1.0, 1.0), (1.0, 0.5), (1.0, 3.0), (2.5, 1.0), (0.5, 1.0), (7.0, 7.0)])
+    def test_support_ends_with_a_shape_of_at_least_1(self, shape, other):
+        dist = BetaPairDistribution(alpha=shape, beta=other, mu=shape, nu=other, lambda_plus=0.25, lambda_minus=0.75)
+        for q in (0.0, 1.0, -1.0):
+            if (q == 0.0 and shape < 1.0) or (q != 0.0 and other < 1.0):
+                continue  # the PDF_ZERO_OFFSET rule applies instead
+            assert pdf(dist, q) == power_form_pdf(dist, q)
+
+    def test_log_form_agrees_with_the_power_form(self):
+        shapes = (0.3, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 17.5, 33.0, 50.0)
+        for shape in shapes:
+            for other in shapes:
+                dist = BetaPairDistribution(alpha=shape, beta=other, mu=other, nu=shape, lambda_plus=0.4, lambda_minus=0.6)
+                for k in range(-64, 65):
+                    expected = power_form_pdf(dist, k / 64)
+                    assert pdf(dist, k / 64) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestClosedForm:
