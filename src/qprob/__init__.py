@@ -21,8 +21,6 @@ from .events import (
     DensityOperator,
     Observable,
     event_probability,
-    projector,
-    to_eigenbasis,
     union_probability,
 )
 from .linalg import (
@@ -30,7 +28,6 @@ from .linalg import (
     NoConvergenceError,
     NotHermitianError,
     SpectralDecomposition,
-    adjoint,
     hermitian_eigen,
     kron,
     outer,
@@ -43,7 +40,6 @@ from .prospects import (
     composite_in_eigenbasis,
     dephase_modes,
     entanglement_measure_maxstate,
-    joint_probability,
     max_entangled_state,
     partial_trace,
     product_state,
@@ -54,13 +50,10 @@ from .prospects import (
 )
 from .quarterlaw import (
     BetaPairDistribution,
-    Infeasible,
     QSplit,
-    pdf,
     pdf_normalization,
     q_split_closed,
     q_split_numeric,
-    solve_balanced,
     zero_mean_residual,
 )
 from .uncertain import (
@@ -80,7 +73,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DensityOperator",
     "EnsembleResult",
-    "Infeasible",
     "ModeWeights",
     "NoConvergenceError",
     "NotHermitianError",
@@ -93,7 +85,6 @@ __all__ = [
     "StepRejected",
     "Trajectory",
     "UncertainUnion",
-    "adjoint",
     "composite_in_eigenbasis",
     "critical_amplitude",
     "dephase_modes",
@@ -102,15 +93,12 @@ __all__ = [
     "event_probability",
     "hermitian_eigen",
     "integrate_deterministic",
-    "joint_probability",
     "kron",
     "max_entangled_state",
     "outer",
     "partial_trace",
-    "pdf",
     "pdf_normalization",
     "product_state",
-    "projector",
     "prospect_operator",
     "prospect_probabilities",
     "prospect_state",
@@ -118,9 +106,7 @@ __all__ = [
     "q_split_closed",
     "q_split_numeric",
     "regime_classify",
-    "solve_balanced",
     "standard_union_probability",
-    "to_eigenbasis",
     "trace",
     "uncertain_probability",
     "uncertain_state",

@@ -183,9 +183,6 @@ def _load_state_file(path: str) -> tuple[np.ndarray, dict[str, Any]]:
 
 def _cmd_measure(config: dict[str, Any]) -> int:
     spec = config["state"]
-    dim = config["dim"]
-    if dim < 1:
-        raise CliError(f"dimension must be positive, got {dim}")
     if spec.startswith("diag:"):
         rho = DensityOperator.diagonal([float(x) for x in spec[5:].split(",")])
     elif spec.startswith("pure:"):
@@ -193,9 +190,9 @@ def _cmd_measure(config: dict[str, Any]) -> int:
     elif spec.startswith("file:"):
         rho = DensityOperator(_load_state_file(spec[5:])[0])
     elif spec == "maxmix":
-        rho = DensityOperator.maximally_mixed(dim)
+        rho = DensityOperator.maximally_mixed(config["dim"])
     elif spec == "random":
-        rho = random_density(np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF), dim)
+        rho = random_density(np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF), config["dim"])
     else:
         raise CliError(f"unknown state spec {spec!r}; use diag:..., pure:..., file:..., maxmix or random")
     obs = Observable.standard(rho.dim)

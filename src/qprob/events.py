@@ -128,11 +128,6 @@ class Observable:
         return cls(hermitian_eigen(matrix))
 
 
-def projector(obs: Observable, n: int) -> np.ndarray:
-    """Projector onto the n-th eigenvector of the observable."""
-    return obs.spectral.projector(n)
-
-
 def _check_same_dim(rho: DensityOperator, obs: Observable) -> None:
     if rho.dim != obs.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.dim}")
@@ -161,14 +156,3 @@ def union_probability(rho: DensityOperator, obs: Observable, indices: Iterable[i
     v = obs.spectral.eigenvectors[:, idx]
     p = np.sum(v.conj() * (rho.matrix @ v))
     return clamp_probability(float(p.real))
-
-
-def to_eigenbasis(rho: DensityOperator, obs: Observable) -> DensityOperator:
-    """Rotate a state into the observable's eigenbasis (unitary conjugation).
-
-    In the returned state the (m, n) entry is <m|rho|n> taken between the
-    observable's eigenvectors.
-    """
-    _check_same_dim(rho, obs)
-    v = obs.spectral.eigenvectors
-    return DensityOperator(v.conj().T @ rho.matrix @ v)

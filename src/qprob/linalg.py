@@ -78,11 +78,6 @@ def kron(a, b) -> np.ndarray:
     return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
-
-
 def trace(a) -> complex:
     """Trace of a square matrix."""
     a = as_matrix(a)
@@ -177,17 +172,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def projector(self, n: int) -> np.ndarray:
-        """Rank-one projector onto the n-th eigenvector."""
-        check_outcomes((n,), self.dim)
-        v = self.eigenvectors[:, n]
-        return outer(v, v)
-
-    def recompose(self) -> np.ndarray:
-        """Rebuild the original matrix as the eigenvalue-weighted projector sum."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
     def gram_residual(self) -> float:
         """Max-norm deviation of the eigenvector Gram matrix from identity."""

@@ -55,10 +55,6 @@ class Prospect:
     n: int
     weights: ModeWeights
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"mode index must be nonnegative, got {self.n}")
-
 
 @dataclass(frozen=True)
 class ProspectResult:
@@ -73,11 +69,6 @@ class ProspectResult:
     f: np.ndarray
     q: np.ndarray
     mode: Literal["raw", "normalized"]
-
-
-def joint_probability(state: CompositeState, n: int, alpha: int) -> float:
-    """Probability of the elementary composite event (n, alpha), a one-outcome standard union."""
-    return standard_union_probability(state, n, (alpha,))
 
 
 def standard_union_probability(state: CompositeState, n: int, alphas: Iterable[int]) -> float:

@@ -19,17 +19,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-#: A branch whose density diverges at an end of its support (a shape below 1)
-#: is evaluated at this offset from that end instead; only integrals of the
-#: density carry meaning there.
-PDF_ZERO_OFFSET = 1e-15
-
-#: :func:`solve_balanced` reports a zero-mean residual this large as infeasible.
-BALANCE_TOL = 1e-9
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
@@ -43,17 +35,6 @@ class QSplit(NamedTuple):
 
     q_plus: float
     q_minus: float
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """Marker that no zero-mean distribution exists for the requested parameters.
-
-    ``residual`` is how far the positive and negative first moments miss
-    cancelling each other.
-    """
-
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -113,31 +94,6 @@ def _normalizer(shape: float, other: float, mass: float) -> float:
     return mass * math.exp(-log_beta(shape, other))
 
 
-def pdf(dist: BetaPairDistribution, q: float) -> float:
-    """Density of the two-sided beta distribution at q in [-1, 1].
-
-    q >= 0 takes the positive branch at q, q < 0 the negative one at -q.  Where
-    the branch diverges, at 0 for a first shape below 1 or at +-1 for a second
-    shape below 1, the value is capped by evaluating at ``PDF_ZERO_OFFSET``
-    from that end.  The density is formed in logs, so that neither ``1/B``
-    nor the powers overflow at large shapes; a factor with exponent 0 at its
-    zero is 1, one with a positive exponent there makes the density 0.
-    """
-    if not -1.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [-1, 1], got {q!r}")
-    shape, other, mass = dist.branches[q < 0.0]
-    x = -q if q < 0.0 else q
-    if x == 0.0 and shape < 1.0:
-        x = PDF_ZERO_OFFSET
-    elif x == 1.0 and other < 1.0:
-        x = 1.0 - PDF_ZERO_OFFSET
-    if x == 0.0 and shape > 1.0 or x == 1.0 and other > 1.0:
-        return 0.0
-    log_x = 0.0 if x == 0.0 else (shape - 1.0) * math.log(x)
-    log_rest = 0.0 if x == 1.0 else (other - 1.0) * math.log1p(-x)
-    return mass * math.exp(log_x + log_rest - log_beta(shape, other))
-
-
 def _branch_mean(shape: float, other: float, mass: float) -> float:
     """``shape * mass / (shape + other)``.
 
@@ -177,31 +133,6 @@ def zero_mean_residual(dist: BetaPairDistribution) -> float:
     """How far the distribution misses the zero-mean (alternation) constraint."""
     split = q_split_closed(dist)
     return split.q_plus + split.q_minus
-
-
-def solve_balanced(
-    alpha: float,
-    beta: float,
-    lambda_plus: float,
-    mu: float,
-    nu: float,
-) -> Union[BetaPairDistribution, Infeasible]:
-    """Assemble a zero-mean distribution, or report that none exists.
-
-    With lambda_minus forced to 1 - lambda_plus the zero-mean constraint
-    becomes an equality between the two branch moments; if the given
-    parameters violate it, the residual is reported instead of a
-    distribution.
-    """
-    if not 0.0 < lambda_plus < 1.0:
-        raise ValueError(f"lambda_plus must lie strictly inside (0, 1), got {lambda_plus!r}")
-    candidate = BetaPairDistribution(
-        alpha=alpha, beta=beta, mu=mu, nu=nu, lambda_plus=lambda_plus, lambda_minus=1.0 - lambda_plus
-    )
-    residual = zero_mean_residual(candidate)
-    if abs(residual) >= BALANCE_TOL:
-        return Infeasible(residual=residual)
-    return candidate
 
 
 def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:

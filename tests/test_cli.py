@@ -50,6 +50,11 @@ class TestMeasure:
         assert code == 0 and err == ""
         assert json.loads(out)["result"]["probabilities"] == pytest.approx([0.5, 0.5], abs=1e-15)
 
+    def test_explicit_state_ignores_dim(self, capsys):
+        code, out, err = run(["measure", "--state", "diag:1,0", "--dim", "0"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["probabilities"] == [1.0, 0.0]
+
 
 class TestProspect:
     def test_bell_like_interference(self, capsys):
@@ -138,6 +143,8 @@ class TestProspect:
         (["prospect", "--weights", "1,1,1"], "weight length 3 does not match second factor 2"),
         (["quarter-law", "--row", "0,1,1,1,0.5"], "shape alpha must be positive and finite, got 0.0"),
         (["quarter-law", "--row", "1,1,1,1,1.5"], "lambda_plus must lie in [0, 1], got 1.5"),
+        (["measure", "--state", "maxmix", "--dim", "0"], "dimension must be positive, got 0"),
+        (["measure", "--state", "random", "--dim", "0"], "dimension must be positive, got 0"),
     ],
 )
 def test_library_value_errors_exit_2_with_their_message(capsys, argv, message):

@@ -6,8 +6,6 @@ from qprob.events import (
     Observable,
     clamp_probability,
     event_probability,
-    projector,
-    to_eigenbasis,
     union_probability,
 )
 from qprob.linalg import DEFAULT_TOL, SpectralDecomposition
@@ -110,32 +108,11 @@ class TestClampProbability:
                 clamp_probability(bad)
 
 
-class TestProjector:
+class TestObservable:
     @pytest.mark.parametrize("dim, message", [(0, "positive"), (-1, "positive"), (65, "exceeds supported maximum 64")])
     def test_standard_observable_checks_its_dimension(self, dim, message):
         with pytest.raises(ValueError, match=message):
             Observable.standard(dim)
-
-    def test_standard_basis(self):
-        obs = Observable.standard(2)
-        assert np.allclose(projector(obs, 0), np.diag([1.0, 0.0]))
-
-    def test_orthogonality(self):
-        obs = random_observable(RNG, 4)
-        for m in range(4):
-            for n in range(4):
-                product = projector(obs, m) @ projector(obs, n)
-                expected = projector(obs, n) if m == n else np.zeros((4, 4))
-                assert np.max(np.abs(product - expected)) < 1e-12
-
-    def test_completeness(self):
-        obs = random_observable(RNG, 3)
-        total = sum(projector(obs, n) for n in range(3))
-        assert np.max(np.abs(total - np.eye(3))) < 1e-10
-
-    def test_index_range(self):
-        with pytest.raises(IndexError):
-            projector(Observable.standard(2), 2)
 
 
 class TestEventProbability:
@@ -212,13 +189,3 @@ class TestUnionProbability:
         with pytest.raises(ValueError) as excinfo:
             union_probability(DensityOperator.maximally_mixed(2), Observable.standard(3), [0, 1])
         assert str(excinfo.value) == "dimension mismatch: state 2, observable 3"
-
-
-def test_to_eigenbasis_diagonal_matches_probabilities():
-    rho = random_density(RNG, 4)
-    obs = random_observable(RNG, 4)
-    rotated = to_eigenbasis(rho, obs)
-    for n in range(4):
-        assert rotated.matrix[n, n].real == pytest.approx(
-            event_probability(rho, obs, n), abs=1e-12
-        )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qprob.events import DensityOperator, Observable, event_probability, projector, union_probability
+from qprob.events import DensityOperator, Observable, event_probability, union_probability
 from qprob.linalg import kron, outer, trace
 from qprob.prospects import (
     CompositeState,
@@ -10,7 +10,6 @@ from qprob.prospects import (
     composite_in_eigenbasis,
     dephase_modes,
     entanglement_measure_maxstate,
-    joint_probability,
     max_entangled_state,
     mode_pfq,
     partial_trace,
@@ -108,12 +107,12 @@ class TestJointProbability:
         for n in range(2):
             for alpha in range(3):
                 expected = rho_a.matrix[n, n].real * rho_b.matrix[alpha, alpha].real
-                assert joint_probability(state, n, alpha) == pytest.approx(expected, abs=1e-12)
+                assert standard_union_probability(state, n, (alpha,)) == pytest.approx(expected, abs=1e-12)
 
     def test_max_entangled_values(self):
         state = max_entangled_state(2)
-        assert joint_probability(state, 0, 0) == pytest.approx(0.5, abs=1e-15)
-        assert joint_probability(state, 0, 1) == 0.0
+        assert standard_union_probability(state, 0, (0,)) == pytest.approx(0.5, abs=1e-15)
+        assert standard_union_probability(state, 0, (1,)) == 0.0
 
     def test_matches_trace_oracle(self):
         state = random_entangled_pure(RNG, 3, 2)
@@ -124,19 +123,19 @@ class TestJointProbability:
                 pb = np.zeros((2, 2), dtype=complex)
                 pb[alpha, alpha] = 1.0
                 expected = trace(state.matrix @ kron(pa, pb)).real
-                assert joint_probability(state, n, alpha) == pytest.approx(expected, abs=1e-13)
+                assert standard_union_probability(state, n, (alpha,)) == pytest.approx(expected, abs=1e-13)
 
     def test_completeness(self):
         state = random_entangled_pure(RNG, 2, 3)
-        total = sum(joint_probability(state, n, a) for n in range(2) for a in range(3))
+        total = sum(standard_union_probability(state, n, (a,)) for n in range(2) for a in range(3))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_index_checks(self):
         state = max_entangled_state(2)
         with pytest.raises(IndexError):
-            joint_probability(state, 2, 0)
+            standard_union_probability(state, 2, (0,))
         with pytest.raises(IndexError):
-            joint_probability(state, 0, 2)
+            standard_union_probability(state, 0, (2,))
 
 
 class TestStandardUnion:
@@ -144,7 +143,7 @@ class TestStandardUnion:
         for _ in range(25):
             state = random_entangled_pure(RNG, 2, 4)
             subset = list(RNG.choice(4, size=2, replace=False))
-            expected = sum(joint_probability(state, 1, a) for a in subset)
+            expected = sum(standard_union_probability(state, 1, (a,)) for a in subset)
             assert standard_union_probability(state, 1, subset) == pytest.approx(expected, abs=1e-12)
 
     def test_all_modes_give_marginal(self):
@@ -168,9 +167,6 @@ _PAIR = max_entangled_state(2)
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: _OBS.spectral.projector(-1), IndexError, "mode index -1 out of range for dimension 3"),
-        (lambda: _OBS.spectral.projector(3), IndexError, "mode index 3 out of range for dimension 3"),
-        (lambda: projector(_OBS, 3), IndexError, "mode index 3 out of range for dimension 3"),
         (lambda: event_probability(_MIXED, _OBS, -1), IndexError, "mode index -1 out of range for dimension 3"),
         (lambda: union_probability(_MIXED, _OBS, [0, 3]), IndexError, "mode index 3 out of range for dimension 3"),
         (lambda: union_probability(_MIXED, _OBS, [1, 1]), ValueError, "duplicate indices in union: [1, 1]"),
@@ -181,11 +177,12 @@ _PAIR = max_entangled_state(2)
         (lambda: standard_union_probability(_PAIR, 0, [1, 1]), ValueError, "duplicate indices in union: [1, 1]"),
         (lambda: prospect_state(Prospect(n=2, weights=ModeWeights.normalized([1, 1])), 2), IndexError,
          "mode index 2 out of range for dimension 2"),
+        (lambda: prospect_state(Prospect(n=-1, weights=ModeWeights.normalized([1, 1])), 2), IndexError,
+         "mode index -1 out of range for dimension 2"),
     ],
     ids=[
-        "spectral-projector-negative", "spectral-projector-dim", "events-projector", "event-probability",
-        "union-range", "union-duplicate", "standard-union-first", "standard-union-second",
-        "standard-union-duplicate", "prospect-state",
+        "event-probability", "union-range", "union-duplicate", "standard-union-first", "standard-union-second",
+        "standard-union-duplicate", "prospect-state", "prospect-state-negative",
     ],
 )
 def test_outcome_index_rule_at_every_call_site(call, error, message):
@@ -443,6 +440,6 @@ def test_composite_in_eigenbasis_diagonalizes_joint_probabilities():
     rotated = composite_in_eigenbasis(state, obs_a, obs_b)
     for n in range(2):
         for alpha in range(2):
-            assert joint_probability(rotated, n, alpha) == pytest.approx(
+            assert standard_union_probability(rotated, n, (alpha,)) == pytest.approx(
                 diag_probs_a[n] * diag_probs_b[alpha], abs=1e-12
             )

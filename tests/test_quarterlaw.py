@@ -8,35 +8,18 @@ from hypothesis import strategies as st
 
 from qprob import quarterlaw
 from qprob.quarterlaw import (
-    PDF_ZERO_OFFSET,
     BetaPairDistribution,
     QuadratureError,
-    Infeasible,
     log_beta,
-    pdf,
     pdf_normalization,
     q_split_closed,
     q_split_numeric,
-    solve_balanced,
     zero_mean_residual,
 )
 
 RNG = np.random.default_rng(2718)
 
 shapes = st.floats(min_value=0.3, max_value=10.0, allow_nan=False)
-
-
-def power_form_pdf(dist, q):
-    """Reference for :func:`pdf`: the normalizer times the two powers, with
-    the same ``PDF_ZERO_OFFSET`` rule; it overflows beyond shapes of a few
-    hundred, where :func:`pdf` stays finite."""
-    shape, other, mass = dist.branches[q < 0.0]
-    x = abs(q)
-    if x == 0.0 and shape < 1.0:
-        x = PDF_ZERO_OFFSET
-    elif x == 1.0 and other < 1.0:
-        x = 1.0 - PDF_ZERO_OFFSET
-    return mass * math.exp(-log_beta(shape, other)) * x ** (shape - 1.0) * (1.0 - x) ** (other - 1.0)
 
 
 def adaptive_gauss_rebisect(f, lo, hi, tol):
@@ -95,63 +78,10 @@ class TestLogBeta:
 
 
 class TestPdf:
-    def test_uniform_density_is_one_half(self):
-        dist = BetaPairDistribution.uniform()
-        for q in (-1.0, -0.4, 0.0, 0.3, 1.0):
-            assert pdf(dist, q) == pytest.approx(0.5, abs=1e-14)
-
-    def test_linear_branch_value(self):
-        dist = BetaPairDistribution(alpha=2.0, beta=1.0, mu=1.0, nu=1.0, lambda_plus=0.5, lambda_minus=0.5)
-        assert pdf(dist, 0.5) == pytest.approx(0.5, abs=1e-14)
-
-    def test_rejects_outside_support(self):
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            pdf(BetaPairDistribution.uniform(), 1.5)
-
-    def test_divergent_origin_is_capped(self):
-        dist = BetaPairDistribution.symmetric(0.5)
-        value = pdf(dist, 0.0)
-        assert math.isfinite(value)
-        assert value > 1e5  # huge but capped, not infinite
-
-    def test_divergent_ends_of_the_support_are_capped(self):
-        dist = BetaPairDistribution(alpha=2.0, beta=0.5, mu=3.0, nu=0.5, lambda_plus=0.5, lambda_minus=0.5)
-        for q in (1.0, -1.0):
-            value = pdf(dist, q)
-            assert value == pdf(dist, math.copysign(1.0 - PDF_ZERO_OFFSET, q))
-            assert math.isfinite(value) and value > 1e5
-
-    def test_negative_branch(self):
-        dist = BetaPairDistribution(alpha=1.0, beta=1.0, mu=2.0, nu=1.0, lambda_plus=0.5, lambda_minus=0.5)
-        assert pdf(dist, -0.5) == pytest.approx(0.5, abs=1e-14)
-
     def test_normalization_by_quadrature(self):
         for _ in range(50):
             dist = random_symmetric_mass_distribution(RNG)
             assert pdf_normalization(dist) == pytest.approx(1.0, abs=1e-10)
-
-    def test_large_symmetric_shape_stays_finite(self):
-        # Beta(a, a) at 1/2 is 2 Gamma(a + 1/2) / (Gamma(a) sqrt(pi)) by the
-        # duplication formula; 1/B(1000, 1000) alone overflows a double.
-        expected = math.exp(math.lgamma(1000.5) - math.lgamma(1000.0)) / math.sqrt(math.pi)
-        assert pdf(BetaPairDistribution.symmetric(1000.0), 0.5) == pytest.approx(expected, rel=1e-10)
-
-    @pytest.mark.parametrize("shape, other", [(1.0, 1.0), (1.0, 0.5), (1.0, 3.0), (2.5, 1.0), (0.5, 1.0), (7.0, 7.0)])
-    def test_support_ends_with_a_shape_of_at_least_1(self, shape, other):
-        dist = BetaPairDistribution(alpha=shape, beta=other, mu=shape, nu=other, lambda_plus=0.25, lambda_minus=0.75)
-        for q in (0.0, 1.0, -1.0):
-            if (q == 0.0 and shape < 1.0) or (q != 0.0 and other < 1.0):
-                continue  # the PDF_ZERO_OFFSET rule applies instead
-            assert pdf(dist, q) == power_form_pdf(dist, q)
-
-    def test_log_form_agrees_with_the_power_form(self):
-        shapes = (0.3, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 17.5, 33.0, 50.0)
-        for shape in shapes:
-            for other in shapes:
-                dist = BetaPairDistribution(alpha=shape, beta=other, mu=other, nu=shape, lambda_plus=0.4, lambda_minus=0.6)
-                for k in range(-64, 65):
-                    expected = power_form_pdf(dist, k / 64)
-                    assert pdf(dist, k / 64) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestClosedForm:
@@ -245,27 +175,6 @@ class TestZeroMean:
     def test_constructed_asymmetric(self):
         dist = BetaPairDistribution(alpha=2.0, beta=1.0, mu=4.0, nu=5.0, lambda_plus=0.4, lambda_minus=0.6)
         assert abs(zero_mean_residual(dist)) < 1e-12
-
-
-class TestSolveBalanced:
-    def test_uniform_is_feasible(self):
-        result = solve_balanced(1.0, 1.0, 0.5, 1.0, 1.0)
-        assert isinstance(result, BetaPairDistribution)
-        assert result.lambda_minus == 0.5
-
-    def test_asymmetric_feasible(self):
-        result = solve_balanced(2.0, 1.0, 0.4, 4.0, 5.0)
-        assert isinstance(result, BetaPairDistribution)
-        assert abs(zero_mean_residual(result)) < 1e-12
-
-    def test_infeasible_reports_residual(self):
-        result = solve_balanced(2.0, 1.0, 0.9, 1.0, 1.0)
-        assert isinstance(result, Infeasible)
-        assert result.residual == pytest.approx(0.55, abs=1e-12)
-
-    def test_rejects_degenerate_mass(self):
-        with pytest.raises(ValueError, match="strictly"):
-            solve_balanced(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("p,r", [(0.3, 0.0), (1.5, -0.4), (0.05, 3.0)])
