@@ -39,7 +39,6 @@ from .prospects import (
     ProspectResult,
     composite_in_eigenbasis,
     dephase_modes,
-    entanglement_measure_maxstate,
     max_entangled_state,
     partial_trace,
     product_state,
@@ -89,7 +88,6 @@ __all__ = [
     "critical_amplitude",
     "dephase_modes",
     "ensemble_interference",
-    "entanglement_measure_maxstate",
     "event_probability",
     "hermitian_eigen",
     "integrate_deterministic",

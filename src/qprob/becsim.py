@@ -301,18 +301,17 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
         np.repeat([[-h], [h], [-h]], width, axis=1)
         for h in (0.5 * params.dt, params.dt, params.dt / 6.0)
     )
-    flip = np.repeat([[-1.0], [1.0]], width, axis=1)
-    mul, add, dot = np.multiply, np.add, np.dot
+    mul, add, sub = np.multiply, np.add, np.subtract
     # Rows u, v, s.  The slopes are stored as (s v, s (u + b), b v): the
     # signs of du/dt = -s v and ds/dt = -b v ride on the step constants.
     y, stage, k1, k2, k3, k4 = np.empty((6, 3, width))
     r = math.sqrt(1.0 - params.s0 * params.s0)
     y[0], y[1], y[2] = r * math.cos(params.x0), r * math.sin(params.x0), params.s0
-    s = y[2]
     uv, vu, stage_uv, rot = y[:2], y[1::-1], stage[:2], k4[:2]
     y_rows, stage_rows, k1_rows, k2_rows, k3_rows, k4_rows = (
         tuple(a) for a in (y, stage, k1, k2, k3, k4)
     )
+    (u, v, s), (u_cos, v_cos, _), (v_sin, u_sin, _) = y_rows, stage_rows, k4_rows
     mean, m2 = np.empty((2, n + 1))
     mean[0], m2[0] = params.s0, 0.0
     drift = 0.0
@@ -346,9 +345,9 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             for cos_t, sin_t in zip(spent, angles):
                 # (u, v) -> (u cos - v sin, v cos + u sin)
                 mul(vu, sin_t, rot)
-                mul(rot, flip, rot)
                 mul(uv, cos_t, stage_uv)
-                add(stage_uv, rot, uv)
+                sub(u_cos, v_sin, u)
+                add(v_cos, u_sin, v)
                 slopes(y_rows, k1_rows)
                 mul(k1, half, stage)
                 add(y, stage, stage)
@@ -374,7 +373,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             np.add.reduce(spent, axis=1, out=levels)
             levels /= width
             spent -= levels[:, None]
-            m2[k - block + 1:k + 1] = [dot(dev, dev) for dev in spent]
+            m2[k - block + 1:k + 1] = (spent[:, None, :] @ spent[:, :, None]).ravel()
             drift = max(drift, float(np.max(np.abs((y * y).sum(axis=0) - 1.0))))
     _require_finite(params.dt, mean, m2)
     return mean, m2, drift

@@ -12,7 +12,6 @@ with :func:`composite_in_eigenbasis`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -172,13 +171,6 @@ def max_entangled_state(m: int) -> CompositeState:
     doubled = np.arange(m) * (m + 1)
     matrix[np.ix_(doubled, doubled)] = 1.0 / m
     return CompositeState(rho=DensityOperator(matrix), dim_a=m, dim_b=m)
-
-
-def entanglement_measure_maxstate(m: int) -> float:
-    """Entanglement production of the maximally entangled m-mode state, in bits."""
-    if m < 2:
-        raise ValueError(f"need at least two modes, got {m}")
-    return math.log2(m)
 
 
 def partial_trace(state: CompositeState, keep: Literal["A", "B"]) -> DensityOperator:

@@ -25,6 +25,10 @@ import numpy as np
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
+#: Most panels one adaptive quadrature may pop.  No beta moment of the
+#: tests, ``qprob verify`` or the benchmark pops more than 17.
+_PANEL_BUDGET = 1000
+
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature fails to reach the requested tolerance."""
@@ -85,7 +89,9 @@ class BetaPairDistribution:
 
 
 def log_beta(a: float, b: float) -> float:
-    """log B(a, b) via log-gamma, stable for large shapes."""
+    """log B(a, b) via log-gamma, finite for large shapes.  The terms cancel:
+    the result carries an absolute error, and exp(log_beta) a relative one,
+    of about eps * lgamma(a + b), 6e-13 at B(0.001, 1001)."""
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
@@ -145,27 +151,27 @@ def _adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     """Adaptive Gauss-Legendre by interval bisection.
 
     A panel is accepted when bisecting it moves the estimate by less than its
-    tolerance share; the share halves with each split so the total error stays
-    below ``tol``.  A split panel's halves carry their estimates onto the
-    stack, so no interval is integrated twice.
+    tolerance share, which halves with each split so the total error stays
+    below ``tol``, or when it is narrower than 1e-15.  A split panel's halves
+    carry their estimates onto the stack, so no interval is integrated twice.
+    As QUADPACK stops at its subinterval limit, :class:`QuadratureError` is
+    raised once :data:`_PANEL_BUDGET` panels have been popped.
     """
     total = 0.0
-    stack = [(lo, hi, _gauss_panel(f, lo, hi), tol, 0)]
-    while stack:
-        a, b, whole, share, depth = stack.pop()
+    stack = [(lo, hi, _gauss_panel(f, lo, hi), tol)]
+    for _ in range(_PANEL_BUDGET):
+        a, b, whole, share = stack.pop()
         mid = 0.5 * (a + b)
         left = _gauss_panel(f, a, mid)
         right = _gauss_panel(f, mid, b)
         if abs(left + right - whole) < share or (b - a) < 1e-15:
             total += left + right
-        elif depth >= 60:
-            raise QuadratureError(
-                f"no convergence on [{a}, {b}] at depth {depth} (estimate moved {abs(left + right - whole):.3e})"
-            )
+            if not stack:
+                return total
         else:
-            stack.append((a, mid, left, 0.5 * share, depth + 1))
-            stack.append((mid, b, right, 0.5 * share, depth + 1))
-    return total
+            stack.append((a, mid, left, 0.5 * share))
+            stack.append((mid, b, right, 0.5 * share))
+    raise QuadratureError(f"no convergence on [{lo}, {hi}] within {_PANEL_BUDGET} panels")
 
 
 def _half_piece(p: float, r: float, tol: float) -> float:

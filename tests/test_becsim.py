@@ -102,13 +102,18 @@ def test_energy_is_conserved_symbolically():
 
 
 #: SHA-256 of (mean, m2, drift) from ``_bloch_lanes`` over 700 steps (one
-#: full and one partial noise block), by (b, width).  With CURVE_BITS they
-#: pin both integrators' bits: a change that moves one needs a new KERNEL.
+#: full and one partial noise block), by (b, width).  Widths 63 and 65 sit
+#: either side of the transpose tile.  With CURVE_BITS they pin both
+#: integrators' bits: a change that moves one needs a new KERNEL.
 LANE_BITS = {
     (0.25, 1): "66acd4f1e3d6db76ffbf60f5a0bc866681b209671bd1b0034cb99b43a3b2852e",
+    (0.25, 63): "f0eeccdc17904a628b89d656e30330ca1deda53c9d7fe91d3584673515996a50",
+    (0.25, 65): "fa0aeb8a4dd9ab6eeb881595c183d84476ea8f893cf766ead38d3d090f84f1bb",
     (0.25, 200): "0cb1c14f6c1166e940f3f59011ebb169e267c08548d8ff9a516890a7f2aba066",
     (0.25, 1024): "3e1097566959669dc51818e7f4e7e51ad329a174925252d4fad7a77f8b01886c",
     (0.5, 1): "ce7e3a92742e1df6bf89f10dc8939727de423a680613408d903583f177bc26b1",
+    (0.5, 63): "f97ff48fcc52eed5b3d8b1d66589acd5dc5376b0d548ccb5eaa0044f42741c36",
+    (0.5, 65): "7fe18c9b1f770ecd090d04b71c58522f88f4d3180deb48d75406a8d79a7f8508",
     (0.5, 200): "dc2daf9bbad3885bed2d97c346becccb29f54df8869f61f312e00e39090337c9",
     (0.5, 1024): "96040d811e52d60196c98ee6262ddaad7c2efd610fb36ad9e386aa0df7e8311b",
 }

@@ -9,7 +9,6 @@ from qprob.prospects import (
     Prospect,
     composite_in_eigenbasis,
     dephase_modes,
-    entanglement_measure_maxstate,
     max_entangled_state,
     mode_pfq,
     partial_trace,
@@ -408,13 +407,6 @@ class TestStateBuilders:
     def test_max_entangled_rejects_small(self):
         with pytest.raises(ValueError):
             max_entangled_state(1)
-
-    def test_entanglement_measure_values(self):
-        assert entanglement_measure_maxstate(2) == 1.0
-        assert entanglement_measure_maxstate(4) == 2.0
-        assert entanglement_measure_maxstate(3) == pytest.approx(1.5849625007211562, abs=1e-12)
-        with pytest.raises(ValueError):
-            entanglement_measure_maxstate(1)
 
 
 def test_composite_in_eigenbasis_round_trip():

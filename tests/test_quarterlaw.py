@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,27 @@ def test_adaptive_gauss_integrates_each_panel_once(p, r):
     got = quarterlaw._adaptive_gauss(recorded, 0.0, 0.5, 1e-11)
     assert got == adaptive_gauss_rebisect(integrand, 0.0, 0.5, 1e-11)
     assert len(calls) == len(set(calls)) > 3
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [lambda u: np.full_like(u, np.nan), lambda u: 1.0 / np.abs(u - 1.0 / 3.0)],
+    ids=["nan", "pole"],
+)
+def test_adaptive_gauss_stops_at_its_panel_budget(integrand):
+    """An integrand that never converges raises instead of bisecting on:
+    each of these ran for more than a minute under a depth cap of 60."""
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="panels"):
+        quarterlaw._adaptive_gauss(integrand, 0.0, 1.0, 1e-11)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_adaptive_gauss_ends_a_jump_at_machine_resolution():
+    """The panels that straddle a 0/1 step never converge; the 1e-15 width
+    floor ends them, well inside the panel budget."""
+    got = quarterlaw._adaptive_gauss(lambda u: np.where(u < 1.0 / 3.0, 0.0, 1.0), 0.0, 1.0, 1e-11)
+    assert got == 2.0 / 3.0
 
 
 def test_beta_moment_needs_few_panels(monkeypatch):

@@ -20,7 +20,6 @@ NO_CALLER_YET = {
     "composite_in_eigenbasis": "the perfbench library workload",
     "standard_union_probability": "the perfbench library workload",
     "partial_trace": "ROADMAP item 13, entanglement_production",
-    "entanglement_measure_maxstate": "ROADMAP item 13, which replaces it",
     "prospect_operator": "ROADMAP item 15, general prospects",
 }
 
