@@ -79,12 +79,12 @@ REGIME_TOL = 1e-9
 KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
 
 
-class StepRejected(RuntimeError):
+class StepRejected(ArithmeticError):
     """The state of a path turned non-finite: the step is far too coarse
     for the dynamics."""
 
 
-class DenominatorVanishes(ValueError):
+class DenominatorVanishes(ArithmeticError):
     """The critical-amplitude denominator is too close to zero."""
 
 

@@ -9,8 +9,11 @@ Flag values override config-file values, which override built-in defaults;
 the effective configuration is echoed into every JSON report.  Reports
 carry no timestamps, so a rerun with the same inputs is byte-identical.
 
-Exit codes: 0 success, 1 invariant failure, 2 input validation error,
-3 numerical failure.
+Exit codes: 0 success, 1 invariant failure, 2 invalid input, 3 numerical
+failure.  An exception's class is its exit code: a ``ValueError`` exits 2
+(``NotHermitianError``, any other refused input), an ``ArithmeticError``
+exits 3 (``StepRejected``, ``DenominatorVanishes``, ``DegenerateProspectError``,
+``QuadratureError``, ``NoConvergenceError``, a non-finite report value).
 """
 
 from __future__ import annotations
@@ -26,14 +29,7 @@ import numpy as np
 
 from . import __version__, becsim, quarterlaw, svgplot, verify
 from .events import DensityOperator, Observable, event_probability
-from .linalg import NoConvergenceError
-from .prospects import (
-    CompositeState,
-    DegenerateProspectError,
-    max_entangled_state,
-    product_state,
-    prospect_probabilities,
-)
+from .prospects import CompositeState, max_entangled_state, product_state, prospect_probabilities
 from .sampling import random_density
 from .uncertain import ModeWeights
 
@@ -43,22 +39,18 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-class CliError(Exception):
-    """Input validation failure (exit code 2)."""
-
-
 def _env_int(name: str, default: str) -> int:
     raw = os.environ.get(name, default)
     try:
         return int(raw)
     except ValueError as exc:
-        raise CliError(f"{name} must be an integer, got {raw!r}") from exc
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _env_workers() -> int:
     workers = _env_int("QPROB_THREADS", "1")
     if workers < 1:
-        raise CliError(f"QPROB_THREADS must be positive, got {workers}")
+        raise ValueError(f"QPROB_THREADS must be positive, got {workers}")
     return workers
 
 
@@ -68,9 +60,9 @@ def _read_json_object(path: str, what: str) -> dict[str, Any]:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise CliError(f"{what} {path} must hold a JSON object")
+        raise ValueError(f"{what} {path} must hold a JSON object")
     return obj
 
 
@@ -95,14 +87,14 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     config = {} if args.config is None else _read_json_object(args.config, "config")
     unknown = set(config) - {name for name, *_ in options}
     if unknown:
-        raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     merged = {}
     for name, kind, default, _ in options:
         flag = getattr(args, name.replace("-", "_"))
         value = config.get(name, default) if flag is None else flag
         if not (value is None and default is None or _has_type(value, kind)):
             expected = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES[kind]
-            raise CliError(f"{name} must be {expected}, got {value!r}")
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
         merged[name] = value
     if "seed" in merged and merged["seed"] is None:
         merged["seed"] = _env_int("QPROB_SEED", "0")
@@ -122,7 +114,15 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _refuse_shared_outputs(*paths: str | None) -> None:
+    """Refuse output paths (``None`` is stdout) of which two resolve to one file."""
+    resolved = [Path(path).resolve() for path in paths if path is not None]
+    for k, path in enumerate(resolved):
+        if path in resolved[:k]:
+            raise ValueError(f"two outputs would write the same file {path}")
 
 
 def _write_json_report(path: str | None, report: dict[str, Any]) -> None:
@@ -145,9 +145,9 @@ def _parse_complex_list(text: str) -> np.ndarray:
     try:
         values = [complex(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise CliError(f"cannot parse complex entries from {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse complex entries from {text!r}: {exc}") from exc
     if not values:
-        raise CliError(f"no entries found in {text!r}")
+        raise ValueError(f"no entries found in {text!r}")
     return np.array(values, dtype=np.complex128)
 
 
@@ -160,15 +160,15 @@ def _parse_weights(text: str, strict: bool) -> ModeWeights:
 
 def _matrix_from_json(obj: dict[str, Any], path: str) -> np.ndarray:
     if "matrix_re" not in obj:
-        raise CliError(f"state file {path} lacks the 'matrix_re' field")
+        raise ValueError(f"state file {path} lacks the 'matrix_re' field")
     try:
         re = np.asarray(obj["matrix_re"], dtype=float)
         im_raw = obj.get("matrix_im")
         im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"state file {path} holds a non-numeric matrix: {exc}") from exc
+        raise ValueError(f"state file {path} holds a non-numeric matrix: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
-        raise CliError(f"state file {path} must hold square real/imaginary parts of equal shape")
+        raise ValueError(f"state file {path} must hold square real/imaginary parts of equal shape")
     return re + 1j * im
 
 
@@ -194,7 +194,7 @@ def _cmd_measure(config: dict[str, Any]) -> int:
     elif spec == "random":
         rho = random_density(np.random.default_rng(config["seed"] & 0xFFFFFFFFFFFFFFFF), config["dim"])
     else:
-        raise CliError(f"unknown state spec {spec!r}; use diag:..., pure:..., file:..., maxmix or random")
+        raise ValueError(f"unknown state spec {spec!r}; use diag:..., pure:..., file:..., maxmix or random")
     obs = Observable.standard(rho.dim)
     probabilities = [event_probability(rho, obs, n) for n in range(rho.dim)]
     total = float(sum(probabilities))
@@ -226,11 +226,11 @@ def _prospect_state_from_config(config: dict[str, Any]) -> CompositeState:
         return product_state(random_density(rng, config["m"]), random_density(rng, config["m"]))
     path = config["state-file"]
     if not path:
-        raise CliError("preset 'file' needs --state-file")
+        raise ValueError("preset 'file' needs --state-file")
     matrix, obj = _load_state_file(path)
     for field in ("dim_a", "dim_b"):
         if not _has_type(obj.get(field), int):
-            raise CliError(f"state file {path}: {field} must be an integer, got {obj.get(field)!r}")
+            raise ValueError(f"state file {path}: {field} must be an integer, got {obj.get(field)!r}")
     return CompositeState(rho=DensityOperator(matrix), dim_a=obj["dim_a"], dim_b=obj["dim_b"])
 
 
@@ -269,6 +269,7 @@ def _cmd_prospect(config: dict[str, Any]) -> int:
 
 
 def _cmd_quarter_law(config: dict[str, Any]) -> int:
+    _refuse_shared_outputs(config["out"], config["report"])
     table: list[tuple[float, float, float, float, float]] = []
     symmetric = config["symmetric"].strip()
     if symmetric:
@@ -276,18 +277,18 @@ def _cmd_quarter_law(config: dict[str, Any]) -> int:
             try:
                 alpha = float(part)
             except ValueError as exc:
-                raise CliError(f"bad symmetric shape {part!r}") from exc
+                raise ValueError(f"bad symmetric shape {part!r}") from exc
             table.append((alpha, alpha, alpha, alpha, 0.5))
     for row in config["rows"]:
         parts = [p for p in row.split(",") if p.strip()]
         if len(parts) != 5:
-            raise CliError(f"--row needs alpha,beta,mu,nu,lambda_plus, got {row!r}")
+            raise ValueError(f"--row needs alpha,beta,mu,nu,lambda_plus, got {row!r}")
         try:
             table.append(tuple(float(p) for p in parts))
         except ValueError as exc:
-            raise CliError(f"bad row {row!r}: {exc}") from exc
+            raise ValueError(f"bad row {row!r}: {exc}") from exc
     if not table:
-        raise CliError("no rows to tabulate; give --symmetric or --row")
+        raise ValueError("no rows to tabulate; give --symmetric or --row")
 
     lines = ["alpha,beta,mu,nu,lambdaPlus,qPlus,qMinus,residual"]
     for alpha, beta, mu, nu, lambda_plus in table:
@@ -312,9 +313,11 @@ def _cmd_quarter_law(config: dict[str, Any]) -> int:
 def _cmd_bec_sim(config: dict[str, Any]) -> int:
     stride = config["stride"]
     if stride < 1:
-        raise CliError(f"stride must be positive, got {stride}")
+        raise ValueError(f"stride must be positive, got {stride}")
     if config["plot"] and config["out"] is None:
-        raise CliError("--plot needs --out to derive the SVG path")
+        raise ValueError("--plot needs --out to derive the SVG path")
+    svg_path = str(Path(config["out"]).with_suffix(".svg")) if config["plot"] else None
+    _refuse_shared_outputs(config["out"], config["report"], svg_path)
     try:
         params = becsim.BecParams(
             b=float(config["b"]),
@@ -326,16 +329,13 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
             n_paths=config["paths"],
             seed=config["seed"],
         )
-        bc = becsim.critical_amplitude(params.s0, params.x0)
-        regime = becsim.regime_classify(params.b, params.s0, params.x0)
-    except becsim.DenominatorVanishes as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
-    except OverflowError as exc:  # an integer beyond the float range; main sends ArithmeticError to 3
-        raise CliError(str(exc)) from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range is invalid input
+        raise ValueError(str(exc)) from exc
+    bc = becsim.critical_amplitude(params.s0, params.x0)
+    regime = becsim.regime_classify(params.b, params.s0, params.x0)
     # the step count is known once the params are valid; the plot needs two rows
     if config["plot"] and stride > params.n_steps:
-        raise CliError(f"--plot needs two rows, but --stride {stride} exceeds the {params.n_steps} steps")
+        raise ValueError(f"--plot needs two rows, but --stride {stride} exceeds the {params.n_steps} steps")
 
     result = becsim.ensemble_interference(params, workers=_env_workers())
 
@@ -344,9 +344,7 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
     lines += [_csv_row(column[k] for column in columns) for k in range(0, params.n_steps + 1, stride)]
     _write_text(config["out"], "\n".join(lines) + "\n")
 
-    svg_path = None
-    if config["plot"]:
-        svg_path = str(Path(config["out"]).with_suffix(".svg"))
+    if svg_path is not None:
         caption = (
             f"interference factor, pumping b = {params.b:g} "
             f"(critical value {bc:.3f}, {regime.value} regime)"
@@ -487,11 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](_effective_config(args.command, args))
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except (becsim.StepRejected, quarterlaw.QuadratureError, NoConvergenceError,
-            DegenerateProspectError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except ValueError as exc:

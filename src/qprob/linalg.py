@@ -39,7 +39,7 @@ class NotHermitianError(ValueError):
     """Raised when a matrix fails its Hermiticity check."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(ArithmeticError):
     """Raised when the eigensolver does not converge."""
 
 

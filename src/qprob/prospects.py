@@ -22,7 +22,7 @@ from .linalg import check_dim, check_outcomes, kron, outer
 from .uncertain import ModeWeights, interference_split
 
 
-class DegenerateProspectError(ValueError):
+class DegenerateProspectError(ArithmeticError):
     """Raised when a prospect family carries no probability mass to normalize."""
 
 

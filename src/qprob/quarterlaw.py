@@ -30,7 +30,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_BUDGET = 1000
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Raised when adaptive quadrature fails to reach the requested tolerance."""
 
 

@@ -1,7 +1,9 @@
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,10 +17,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qprob import becsim, cli
-from qprob.linalg import MAX_EIGEN_DIM, NoConvergenceError, NotHermitianError
-from qprob.prospects import DegenerateProspectError
-from qprob.quarterlaw import QuadratureError
+import qprob
+from qprob import becsim, cli, quarterlaw
+from qprob.linalg import MAX_EIGEN_DIM
 
 
 def run(argv, capsys):
@@ -153,23 +154,44 @@ def test_library_value_errors_exit_2_with_their_message(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def _library_exceptions() -> list[type]:
+    """Every exception class defined in a module of ``qprob``."""
+    found = []
+    for info in pkgutil.iter_modules(qprob.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"qprob.{info.name}")
+        found += [
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        ]
+    return found
+
+
+LIBRARY_EXCEPTIONS = _library_exceptions()
+
+
+def test_every_library_exception_is_invalid_input_or_a_failed_computation():
+    # a ValueError exits 2 and an ArithmeticError exits 3, so each class is exactly one
+    assert len(LIBRARY_EXCEPTIONS) >= 6
+    ambiguous = [
+        cls.__name__ for cls in LIBRARY_EXCEPTIONS if issubclass(cls, ValueError) == issubclass(cls, ArithmeticError)
+    ]
+    assert ambiguous == []
+
+
 @pytest.mark.parametrize(
-    "exc, code, prefix",
+    "cls, code, prefix",
     [
-        (NotHermitianError("raised"), 2, "error: "),
-        (ValueError("raised"), 2, "error: "),
-        (cli.CliError("raised"), 2, "error: "),
-        (becsim.StepRejected("raised"), 3, "numerical failure: "),
-        (QuadratureError("raised"), 3, "numerical failure: "),
-        (NoConvergenceError("raised"), 3, "numerical failure: "),
-        (DegenerateProspectError("raised"), 3, "numerical failure: "),
-        (ArithmeticError("raised"), 3, "numerical failure: "),
+        (cls, 2, "error: ") if issubclass(cls, ValueError) else (cls, 3, "numerical failure: ")
+        for cls in (*LIBRARY_EXCEPTIONS, ValueError, ArithmeticError, OverflowError)
     ],
-    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
 )
-def test_main_maps_each_library_error_to_one_exit_code(capsys, monkeypatch, exc, code, prefix):
+def test_main_maps_each_library_error_to_one_exit_code(capsys, monkeypatch, cls, code, prefix):
     def failing(*args, **kwargs):
-        raise exc
+        raise cls("raised")
 
     monkeypatch.setattr(cli, "event_probability", failing)
     assert run(["measure"], capsys) == (code, "", f"{prefix}raised\n")
@@ -682,6 +704,40 @@ def test_oversized_dimension_refused_before_allocating(capsys, argv):
     assert code == 2
     assert f"exceeds supported maximum {MAX_EIGEN_DIM}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, shared",
+    [
+        (["bec-sim", "--out", "run.svg", "--plot"], "run.svg"),
+        (["bec-sim", "--out", "a.csv", "--report", "./a.csv"], "a.csv"),
+        (["bec-sim", "--out", "run.csv", "--report", "run.svg", "--plot"], "run.svg"),
+        (["quarter-law", "--out", "q.csv", "--report", "q.csv"], "q.csv"),
+    ],
+    ids=["svg-is-csv", "report-is-csv", "report-is-svg", "quarter-law-report-is-csv"],
+)
+def test_outputs_that_share_a_file_fail_before_computing(capsys, monkeypatch, tmp_path, argv, shared):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the shared output must stop the run before anything is computed")
+
+    monkeypatch.setattr(becsim, "ensemble_interference", unreachable)
+    monkeypatch.setattr(quarterlaw, "q_split_closed", unreachable)
+    monkeypatch.chdir(tmp_path)
+    grid = ["--tmax", "0.5", "--paths", "4"] if argv[0] == "bec-sim" else []
+    code, out, err = run([*argv, *grid], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: two outputs would write the same file {(tmp_path / shared).resolve()}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_vanishing_critical_denominator_exits_3(capsys):
+    code, out, err = run(
+        ["bec-sim", "--s0", "0", "--x0", "3.141592653589793", "--tmax", "0.01", "--paths", "2"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "numerical failure: critical amplitude undefined: denominator 0.000e+00 at s0=0.0, x0=3.141592653589793\n"
+    )
 
 
 def test_config_integer_beyond_float_range_fails_validation(capsys, tmp_path):
