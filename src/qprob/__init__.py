@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     NoConvergenceError,
     NotHermitianError,
+    OutcomeIndexError,
     SpectralDecomposition,
     hermitian_eigen,
     kron,
@@ -76,6 +77,7 @@ __all__ = [
     "NoConvergenceError",
     "NotHermitianError",
     "Observable",
+    "OutcomeIndexError",
     "Prospect",
     "ProspectResult",
     "QSplit",

@@ -29,11 +29,13 @@ curve.  The integrated state (u, v, s) is also the output: a noiseless
 trajectory is returned as (u, v, s), whose continuous phase is
 unwrap(arctan2(v, u)), and an ensemble reduces s alone.
 
-Noisy paths are keyed by (seed, path index) through a counter-based
-generator, which makes every ensemble bit-reproducible no matter how paths
-are scheduled.  Each fixed-size path chunk yields its per-step mean and
-centred sum of squares; the chunks are merged in chunk order, so a worker
-pool of any size produces identical output.
+Noisy paths draw their noise in groups of 64: the stream of group g is
+keyed by (seed, g), and path i reads column i % 64 of group i // 64, so a
+path draws the same increments in any range and every ensemble is
+bit-reproducible no matter how paths are scheduled.  Each fixed-size path
+chunk yields its per-step mean and centred sum of squares; the chunks are
+merged in chunk order, so a worker pool of any size produces identical
+output.
 """
 
 from __future__ import annotations
@@ -54,9 +56,9 @@ CHUNK_PATHS = 1024
 #: cosines and one row of sines of the noise angles per step.
 _NOISE_BLOCK = 512
 
-#: Lanes per tile when a noise block is transposed from per-path rows into
-#: per-step rows.
-_TILE_LANES = 64
+#: Paths per noise stream: one stream fills a (steps, GROUP_LANES) array row
+#: by row, a column per path.
+GROUP_LANES = 64
 
 #: Largest step count a run may ask for, checked before anything is
 #: allocated.  It is five times the 2e6 steps of the finest run in the
@@ -76,7 +78,10 @@ CRITICAL_DENOMINATOR_TOL = 1e-12
 REGIME_TOL = 1e-9
 
 #: The scheme of every noisy path, as named in reports.
-KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
+KERNEL = (
+    "bloch-lie-rk4/sfc64-groups: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift; "
+    "dW from one SFC64 stream per 64-path group"
+)
 
 
 class StepRejected(ArithmeticError):
@@ -92,6 +97,15 @@ class Regime(Enum):
     RABI = "Rabi"
     JOSEPHSON = "Josephson"
     CRITICAL = "Critical"
+
+    @classmethod
+    def of(cls, b: float, critical: float) -> Regime:
+        """Which side of the critical amplitude ``critical`` the pumping ``b`` lies on."""
+        if b < critical - REGIME_TOL:
+            return cls.RABI
+        if b > critical + REGIME_TOL:
+            return cls.JOSEPHSON
+        return cls.CRITICAL
 
 
 @dataclass(frozen=True)
@@ -202,12 +216,7 @@ def regime_classify(b: float, s0: float, x0: float) -> Regime:
     """Which side of the critical amplitude the pumping lies on."""
     if not math.isfinite(b):
         raise ValueError(f"pumping amplitude must be finite, got {b!r}")
-    bc = critical_amplitude(s0, x0)
-    if b < bc - REGIME_TOL:
-        return Regime.RABI
-    if b > bc + REGIME_TOL:
-        return Regime.JOSEPHSON
-    return Regime.CRITICAL
+    return Regime.of(b, critical_amplitude(s0, x0))
 
 
 def hamiltonian(s, u, b: float):
@@ -266,14 +275,17 @@ def _require_finite(dt: float, *series: np.ndarray) -> None:
         raise StepRejected(f"state became non-finite at t={float(k * dt)!r}")
 
 
-def path_noise_generator(seed: int, path_index: int) -> np.random.Generator:
-    """The counter-based stream feeding one path's noise increments.
+def group_noise_generator(seed: int, group: int) -> np.random.Generator:
+    """The stream feeding the noise increments of paths
+    [GROUP_LANES * group, GROUP_LANES * (group + 1)).
 
-    Keyed by (seed, path index); the k-th draw is the increment of step k,
-    so the stream does not depend on how paths are scheduled.
+    Keyed by (seed, group); its normals fill a (steps, GROUP_LANES) array
+    row-major, so path i draws column i % GROUP_LANES of group
+    i // GROUP_LANES and the stream does not depend on how paths are
+    scheduled.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    sequence = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(group,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
@@ -324,21 +336,26 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
         mul(ss, kv, kv)
         mul(sv, b, ks)
 
-    generators = [path_noise_generator(params.seed, i) for i in range(path_lo, path_hi)]
-    cos_block, sin_block = np.empty((2, min(_NOISE_BLOCK, n), width))
+    # The noise blocks span whole groups; the lanes are columns
+    # [offset, offset + width) of them.
+    first, offset = divmod(path_lo, GROUP_LANES)
+    generators = [group_noise_generator(params.seed, g) for g in range(first, -(-path_hi // GROUP_LANES))]
+    groups = len(generators)
+    cos_block, sin_block = np.empty((2, min(_NOISE_BLOCK, n), groups * GROUP_LANES))
     k = 0
     # a non-finite state is reported once, after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n:
             block = min(_NOISE_BLOCK, n - k)
-            angles, spent = sin_block[:block], cos_block[:block]
-            # Each path draws its block into one contiguous row of the free
-            # cosine block, which is then transposed in tiles of lanes.
-            draws = spent.reshape(width, block)
-            for gen, row in zip(generators, draws):
-                gen.standard_normal(out=row)
-            for lo in range(0, width, _TILE_LANES):
-                angles[:, lo:lo + _TILE_LANES] = draws[lo:lo + _TILE_LANES].T
+            # Each group draws its (block, GROUP_LANES) rows into one
+            # contiguous slab of the free cosine block; one copy interleaves
+            # the slabs into per-step rows of the sine block.
+            draws = cos_block[:block].reshape(groups, block, GROUP_LANES)
+            for gen, slab in zip(generators, draws):
+                gen.standard_normal(out=slab)
+            np.copyto(sin_block[:block].reshape(block, groups, GROUP_LANES), draws.transpose(1, 0, 2))
+            angles = sin_block[:block, offset:offset + width]
+            spent = cos_block[:block, offset:offset + width]
             angles *= sig_sqdt
             np.cos(angles, spent)
             np.sin(angles, angles)

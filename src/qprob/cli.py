@@ -332,7 +332,7 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
     except OverflowError as exc:  # a JSON integer beyond the float range is invalid input
         raise ValueError(str(exc)) from exc
     bc = becsim.critical_amplitude(params.s0, params.x0)
-    regime = becsim.regime_classify(params.b, params.s0, params.x0)
+    regime = becsim.Regime.of(params.b, bc)
     # the step count is known once the params are valid; the plot needs two rows
     if config["plot"] and stride > params.n_steps:
         raise ValueError(f"--plot needs two rows, but --stride {stride} exceeds the {params.n_steps} steps")

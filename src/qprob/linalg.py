@@ -39,6 +39,11 @@ class NotHermitianError(ValueError):
     """Raised when a matrix fails its Hermiticity check."""
 
 
+class OutcomeIndexError(ValueError, IndexError):
+    """Raised when an outcome index leaves its dimension: invalid input, and
+    an ``IndexError`` for callers that catch one."""
+
+
 class NoConvergenceError(ArithmeticError):
     """Raised when the eigensolver does not converge."""
 
@@ -139,12 +144,13 @@ def check_dim(dim: int) -> None:
 
 def check_outcomes(indices: Sequence[int], dim: int, what: str = "mode") -> None:
     """Refuse outcome ``indices`` that repeat one (``ValueError``) or leave
-    [0, dim) (``IndexError``); ``what`` names the index in the message."""
+    [0, dim) (:class:`OutcomeIndexError`); ``what`` names the index in the
+    message."""
     if len(set(indices)) != len(indices):
         raise ValueError(f"duplicate indices in union: {indices}")
     for n in indices:
         if not 0 <= n < dim:
-            raise IndexError(f"{what} index {n} out of range for dimension {dim}")
+            raise OutcomeIndexError(f"{what} index {n} out of range for dimension {dim}")
 
 
 def checked_hermitian(a) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import multiprocessing
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,9 +15,9 @@ from qprob.becsim import (
     StepRejected,
     critical_amplitude,
     ensemble_interference,
+    group_noise_generator,
     hamiltonian,
     integrate_deterministic,
-    path_noise_generator,
     regime_classify,
 )
 
@@ -54,8 +55,9 @@ def polar_heun(params, path_index):
     """Oracle: stochastic Heun stepped directly in (s, x) on one path's noise,
     clamped off the pole; returns s."""
     b, dt, clamp = params.b, params.dt, 1.0 - 1e-12
-    generator = path_noise_generator(params.seed, path_index)
-    dw = params.sigma * math.sqrt(dt) * generator.standard_normal(params.n_steps)
+    group, column = divmod(path_index, becsim.GROUP_LANES)
+    normals = group_noise_generator(params.seed, group).standard_normal((params.n_steps, becsim.GROUP_LANES))
+    dw = params.sigma * math.sqrt(dt) * normals[:, column]
     s_out = np.empty(params.n_steps + 1)
     s, x = params.s0, params.x0
     s_out[0] = s
@@ -103,19 +105,19 @@ def test_energy_is_conserved_symbolically():
 
 #: SHA-256 of (mean, m2, drift) from ``_bloch_lanes`` over 700 steps (one
 #: full and one partial noise block), by (b, width).  Widths 63 and 65 sit
-#: either side of the transpose tile.  With CURVE_BITS they pin both
+#: either side of a noise group.  With CURVE_BITS they pin both
 #: integrators' bits: a change that moves one needs a new KERNEL.
 LANE_BITS = {
-    (0.25, 1): "66acd4f1e3d6db76ffbf60f5a0bc866681b209671bd1b0034cb99b43a3b2852e",
-    (0.25, 63): "f0eeccdc17904a628b89d656e30330ca1deda53c9d7fe91d3584673515996a50",
-    (0.25, 65): "fa0aeb8a4dd9ab6eeb881595c183d84476ea8f893cf766ead38d3d090f84f1bb",
-    (0.25, 200): "0cb1c14f6c1166e940f3f59011ebb169e267c08548d8ff9a516890a7f2aba066",
-    (0.25, 1024): "3e1097566959669dc51818e7f4e7e51ad329a174925252d4fad7a77f8b01886c",
-    (0.5, 1): "ce7e3a92742e1df6bf89f10dc8939727de423a680613408d903583f177bc26b1",
-    (0.5, 63): "f97ff48fcc52eed5b3d8b1d66589acd5dc5376b0d548ccb5eaa0044f42741c36",
-    (0.5, 65): "7fe18c9b1f770ecd090d04b71c58522f88f4d3180deb48d75406a8d79a7f8508",
-    (0.5, 200): "dc2daf9bbad3885bed2d97c346becccb29f54df8869f61f312e00e39090337c9",
-    (0.5, 1024): "96040d811e52d60196c98ee6262ddaad7c2efd610fb36ad9e386aa0df7e8311b",
+    (0.25, 1): "4faef19fe7d297e295362c4cd0da5d39cde648856c43b1de12620c476d73cea4",
+    (0.25, 63): "2f40be7c8026f2ea1daaab5127c6e6ef16a574f7c4d0825a11a7d60a1a70eb24",
+    (0.25, 65): "80651161584b17509201f2cae1ffe3fe5c06e67e0a61d839d46c18786a69fc25",
+    (0.25, 200): "7c30118921e540446bfa005001ff47ea7880504023043aadf08f77105522f988",
+    (0.25, 1024): "623d2154efe749044b035c01422105b72239bfcf7d777bbc7839260982f3f013",
+    (0.5, 1): "0c70b5df75ecc2e8bd9d41b2eff43e1a40a1f12d6c336bfaaac0c5d8edf361de",
+    (0.5, 63): "c8844ca9893fe5e67f4829f83f83fc5253b067763ff6ce5ccabca7fb20b2d762",
+    (0.5, 65): "c3d8feb3da6361b1f5c029d690e83c6ebacc33c09005e5a8177ebadbcd4a5f47",
+    (0.5, 200): "401be161fecaf37cfceb70b3f52bea1ca9a4c7a5a2194bf1d130c8d4533add2a",
+    (0.5, 1024): "704e5e498f2d19b87b9acafa37837106a614eca967a62392f827c36256a032a5",
 }
 
 #: SHA-256 of (u, v, s) from ``integrate_deterministic`` over t = 20, by (b, x0).
@@ -127,7 +129,10 @@ CURVE_BITS = {
 }
 
 #: The scheme these bits belong to.
-GOLDEN_KERNEL = "bloch-lie-rk4: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift"
+GOLDEN_KERNEL = (
+    "bloch-lie-rk4/sfc64-groups: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift; "
+    "dW from one SFC64 stream per 64-path group"
+)
 
 
 class TestGoldenBits:
@@ -323,13 +328,38 @@ class TestStochastic:
         params = BecParams(b=0.25, sigma=0.15, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, seed=99)
         assert not np.array_equal(lane_s(params, 0), lane_s(params, 1))
 
+    def test_unaligned_range_is_the_mean_of_its_lone_lanes(self):
+        # [37, 237) starts and ends inside a noise group and runs two noise
+        # blocks, so each lane reads its own column at an offset and a pad
+        params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.6, n_paths=237, seed=5)
+        mean, m2, drift = becsim._bloch_lanes(params, 37, 237)
+        lone = [becsim._bloch_lanes(params, i, i + 1) for i in range(37, 237)]
+        paths = np.array([s for s, _, _ in lone])
+        assert np.max(np.abs(mean - paths.mean(axis=0))) < 1e-14
+        assert np.allclose(m2, ((paths - paths.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-10, atol=1e-15)
+        assert drift == max(d for _, _, d in lone)
+
+    def test_traced_peak_is_the_two_noise_blocks(self):
+        # two 4 MiB noise blocks (512 steps by 1024 lanes) and 1.5 MiB besides:
+        # drawing into a separate buffer, or a copying reshape, adds a third
+        params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.6, n_paths=1024, seed=5)
+        tracemalloc.start()
+        try:
+            becsim._bloch_lanes(params, 0, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2**20
+
     def test_noise_stream_statistics(self):
         # accumulated increments behave like a Wiener process: the ensemble
         # mean at fixed t stays within four standard errors of zero
         sigma, dt, n_steps, n_paths = 0.1, 1e-3, 1000, 10_000
-        totals = np.empty(n_paths)
-        for i in range(n_paths):
-            totals[i] = path_noise_generator(2024, i).standard_normal(n_steps).sum()
+        groups = -(-n_paths // becsim.GROUP_LANES)
+        totals = np.concatenate([
+            group_noise_generator(2024, g).standard_normal((n_steps, becsim.GROUP_LANES)).sum(axis=0)
+            for g in range(groups)
+        ])[:n_paths]
         mean_w = sigma * math.sqrt(dt) * float(totals.mean())
         t = n_steps * dt
         assert abs(mean_w) < 4.0 * sigma * math.sqrt(t) / math.sqrt(n_paths)

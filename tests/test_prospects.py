@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qprob.events import DensityOperator, Observable, event_probability, union_probability
-from qprob.linalg import kron, outer, trace
+from qprob.linalg import OutcomeIndexError, kron, outer, trace
 from qprob.prospects import (
     CompositeState,
     DegenerateProspectError,
@@ -166,17 +166,18 @@ _PAIR = max_entangled_state(2)
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: event_probability(_MIXED, _OBS, -1), IndexError, "mode index -1 out of range for dimension 3"),
-        (lambda: union_probability(_MIXED, _OBS, [0, 3]), IndexError, "mode index 3 out of range for dimension 3"),
+        (lambda: event_probability(_MIXED, _OBS, -1), OutcomeIndexError, "mode index -1 out of range for dimension 3"),
+        (lambda: union_probability(_MIXED, _OBS, [0, 3]), OutcomeIndexError,
+         "mode index 3 out of range for dimension 3"),
         (lambda: union_probability(_MIXED, _OBS, [1, 1]), ValueError, "duplicate indices in union: [1, 1]"),
-        (lambda: standard_union_probability(_PAIR, 2, [0]), IndexError,
+        (lambda: standard_union_probability(_PAIR, 2, [0]), OutcomeIndexError,
          "first-factor index 2 out of range for dimension 2"),
-        (lambda: standard_union_probability(_PAIR, 0, [0, -1]), IndexError,
+        (lambda: standard_union_probability(_PAIR, 0, [0, -1]), OutcomeIndexError,
          "second-factor index -1 out of range for dimension 2"),
         (lambda: standard_union_probability(_PAIR, 0, [1, 1]), ValueError, "duplicate indices in union: [1, 1]"),
-        (lambda: prospect_state(Prospect(n=2, weights=ModeWeights.normalized([1, 1])), 2), IndexError,
+        (lambda: prospect_state(Prospect(n=2, weights=ModeWeights.normalized([1, 1])), 2), OutcomeIndexError,
          "mode index 2 out of range for dimension 2"),
-        (lambda: prospect_state(Prospect(n=-1, weights=ModeWeights.normalized([1, 1])), 2), IndexError,
+        (lambda: prospect_state(Prospect(n=-1, weights=ModeWeights.normalized([1, 1])), 2), OutcomeIndexError,
          "mode index -1 out of range for dimension 2"),
     ],
     ids=[
