@@ -38,6 +38,7 @@ from .prospects import (
     CompositeState,
     Prospect,
     ProspectResult,
+    bell_like_state,
     composite_in_eigenbasis,
     dephase_modes,
     max_entangled_state,
@@ -86,6 +87,7 @@ __all__ = [
     "StepRejected",
     "Trajectory",
     "UncertainUnion",
+    "bell_like_state",
     "composite_in_eigenbasis",
     "critical_amplitude",
     "dephase_modes",

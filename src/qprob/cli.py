@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, becsim, quarterlaw, svgplot, verify
 from .events import DensityOperator, Observable, event_probability
-from .prospects import CompositeState, max_entangled_state, product_state, prospect_probabilities
+from .prospects import CompositeState, bell_like_state, max_entangled_state, product_state, prospect_probabilities
 from .sampling import random_density
 from .uncertain import ModeWeights
 
@@ -125,7 +125,12 @@ def _refuse_shared_outputs(*paths: str | None) -> None:
             raise ValueError(f"two outputs would write the same file {path}")
 
 
-def _write_json_report(path: str | None, report: dict[str, Any]) -> None:
+def _write_report(path: str | None, command: str, config: dict[str, Any], result: dict[str, Any], **meta: Any) -> None:
+    """Write the JSON report ``{command, config, meta, result}`` of a command
+    to the file ``path``, or to stdout when there is none; ``meta`` adds keys
+    to the report's tool and version."""
+    meta = {"tool": "qprob", "version": __version__, **meta}
+    report = {"command": command, "config": config, "meta": meta, "result": result}
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -133,32 +138,26 @@ def _write_json_report(path: str | None, report: dict[str, Any]) -> None:
     _write_text(path, text)
 
 
-def _report_skeleton(command: str, config: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "command": command,
-        "config": config,
-        "meta": {"tool": "qprob", "version": __version__},
-    }
+def _parse_list(text: str, what: str, kind: type = float, count: int | None = None) -> list:
+    """The numbers of the comma-separated list ``text``, each read by ``kind``
+    (``float`` or ``complex``), empty entries skipped: one or more of them, or
+    exactly ``count``.  ``what`` names the input in the error."""
+    values = []
+    for entry in text.split(","):
+        entry = entry.strip()
+        if entry:
+            try:
+                values.append(kind(entry))
+            except ValueError:
+                raise ValueError(f"{what} entry {entry!r} is not a number") from None
+    if not values or count not in (None, len(values)):
+        raise ValueError(f"{what} needs {count or 'one or more'} entries, got {len(values)} in {text!r}")
+    return values
 
 
-def _parse_complex_list(text: str) -> np.ndarray:
-    try:
-        values = [complex(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse complex entries from {text!r}: {exc}") from exc
-    if not values:
-        raise ValueError(f"no entries found in {text!r}")
-    return np.array(values, dtype=np.complex128)
-
-
-def _parse_weights(text: str, strict: bool) -> ModeWeights:
-    values = _parse_complex_list(text)
-    if strict:
-        ModeWeights(values)  # refuses weights whose squared sum is not 1
-    return ModeWeights.normalized(values)
-
-
-def _matrix_from_json(obj: dict[str, Any], path: str) -> np.ndarray:
+def _load_state_file(path: str) -> tuple[np.ndarray, dict[str, Any]]:
+    """The matrix of a state file, and the file's JSON object."""
+    obj = _read_json_object(path, "state file")
     if "matrix_re" not in obj:
         raise ValueError(f"state file {path} lacks the 'matrix_re' field")
     try:
@@ -169,13 +168,7 @@ def _matrix_from_json(obj: dict[str, Any], path: str) -> np.ndarray:
         raise ValueError(f"state file {path} holds a non-numeric matrix: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError(f"state file {path} must hold square real/imaginary parts of equal shape")
-    return re + 1j * im
-
-
-def _load_state_file(path: str) -> tuple[np.ndarray, dict[str, Any]]:
-    """The matrix of a state file, and the file's JSON object."""
-    obj = _read_json_object(path, "state file")
-    return _matrix_from_json(obj, path), obj
+    return re + 1j * im, obj
 
 
 # ---------------------------------------------------------------- measure
@@ -184,9 +177,9 @@ def _load_state_file(path: str) -> tuple[np.ndarray, dict[str, Any]]:
 def _cmd_measure(config: dict[str, Any]) -> int:
     spec = config["state"]
     if spec.startswith("diag:"):
-        rho = DensityOperator.diagonal([float(x) for x in spec[5:].split(",")])
+        rho = DensityOperator.diagonal(_parse_list(spec[5:], "--state diag:"))
     elif spec.startswith("pure:"):
-        rho = DensityOperator.pure(_parse_complex_list(spec[5:]))
+        rho = DensityOperator.pure(_parse_list(spec[5:], "--state pure:", complex))
     elif spec.startswith("file:"):
         rho = DensityOperator(_load_state_file(spec[5:])[0])
     elif spec == "maxmix":
@@ -198,16 +191,14 @@ def _cmd_measure(config: dict[str, Any]) -> int:
     obs = Observable.standard(rho.dim)
     probabilities = [event_probability(rho, obs, n) for n in range(rho.dim)]
     total = float(sum(probabilities))
-    report = _report_skeleton("measure", config)
-    report["result"] = {
+    _write_report(config["out"], "measure", config, {
         "probabilities": probabilities,
         "sum": total,
         "checks": {
             "sums_to_one": bool(abs(total - 1.0) < 1e-10),
             "all_in_unit_interval": bool(all(0.0 <= p <= 1.0 for p in probabilities)),
         },
-    }
-    _write_json_report(config["out"], report)
+    })
     return EXIT_OK
 
 
@@ -217,8 +208,7 @@ def _cmd_measure(config: dict[str, Any]) -> int:
 def _prospect_state_from_config(config: dict[str, Any]) -> CompositeState:
     preset = config["preset"]
     if preset == "bell-like":
-        amplitudes = np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128)
-        return CompositeState(rho=DensityOperator.pure(amplitudes), dim_a=2, dim_b=2)
+        return bell_like_state()
     if preset == "max-entangled":
         return max_entangled_state(config["m"])
     if preset == "product":
@@ -236,11 +226,13 @@ def _prospect_state_from_config(config: dict[str, Any]) -> CompositeState:
 
 def _cmd_prospect(config: dict[str, Any]) -> int:
     state = _prospect_state_from_config(config)
-    if config["weights"] is None:
-        weights = ModeWeights.normalized(np.ones(state.dim_b))
-        config["weights"] = ",".join("1" for _ in range(state.dim_b))
-    else:
-        weights = _parse_weights(config["weights"], config["strict"])
+    given = config["weights"] is not None
+    if not given:  # equal weights, echoed into the report
+        config["weights"] = ",".join(["1"] * state.dim_b)
+    values = _parse_list(config["weights"], "--weights", complex)
+    if given and config["strict"]:
+        ModeWeights(values)  # refuses weights whose squared sum is not 1
+    weights = ModeWeights.normalized(values)
 
     raw = prospect_probabilities(state, weights, mode="raw")
     normalized = prospect_probabilities(state, weights, mode="normalized")
@@ -251,8 +243,7 @@ def _cmd_prospect(config: dict[str, Any]) -> int:
         "normalized_q_sums_to_zero": bool(abs(float(normalized.q.sum())) < 1e-10),
         "interference_within_unit_band": bool(np.max(np.abs(normalized.q)) <= 1.0),
     }
-    report = _report_skeleton("prospect", config)
-    report["result"] = {
+    _write_report(config["out"], "prospect", config, {
         "raw": {"p": raw.p.tolist(), "f": raw.f.tolist(), "q": raw.q.tolist()},
         "normalized": {
             "p": normalized.p.tolist(),
@@ -260,8 +251,7 @@ def _cmd_prospect(config: dict[str, Any]) -> int:
             "q": normalized.q.tolist(),
         },
         "checks": checks,
-    }
-    _write_json_report(config["out"], report)
+    })
     return EXIT_OK
 
 
@@ -270,23 +260,10 @@ def _cmd_prospect(config: dict[str, Any]) -> int:
 
 def _cmd_quarter_law(config: dict[str, Any]) -> int:
     _refuse_shared_outputs(config["out"], config["report"])
-    table: list[tuple[float, float, float, float, float]] = []
-    symmetric = config["symmetric"].strip()
-    if symmetric:
-        for part in symmetric.split(","):
-            try:
-                alpha = float(part)
-            except ValueError as exc:
-                raise ValueError(f"bad symmetric shape {part!r}") from exc
-            table.append((alpha, alpha, alpha, alpha, 0.5))
-    for row in config["rows"]:
-        parts = [p for p in row.split(",") if p.strip()]
-        if len(parts) != 5:
-            raise ValueError(f"--row needs alpha,beta,mu,nu,lambda_plus, got {row!r}")
-        try:
-            table.append(tuple(float(p) for p in parts))
-        except ValueError as exc:
-            raise ValueError(f"bad row {row!r}: {exc}") from exc
+    symmetric = config["symmetric"]  # an empty value means no symmetric rows
+    shapes = _parse_list(symmetric, "--symmetric") if symmetric.strip() else []
+    table = [(alpha, alpha, alpha, alpha, 0.5) for alpha in shapes]
+    table += [tuple(_parse_list(row, "--row", count=5)) for row in config["rows"]]
     if not table:
         raise ValueError("no rows to tabulate; give --symmetric or --row")
 
@@ -301,9 +278,7 @@ def _cmd_quarter_law(config: dict[str, Any]) -> int:
         lines.append(_csv_row((alpha, beta, mu, nu, lambda_plus, split.q_plus, split.q_minus, residual)))
     _write_text(config["out"], "\n".join(lines) + "\n")
     if config["report"] is not None:
-        report = _report_skeleton("quarter-law", config)
-        report["result"] = {"rows_written": len(table), "csv": config["out"]}
-        _write_json_report(config["report"], report)
+        _write_report(config["report"], "quarter-law", config, {"rows_written": len(table), "csv": config["out"]})
     return EXIT_OK
 
 
@@ -355,21 +330,16 @@ def _cmd_bec_sim(config: dict[str, Any]) -> int:
         )
         _write_text(svg_path, svg)
 
-    report = _report_skeleton("bec-sim", config)
-    report["meta"]["kernel"] = becsim.KERNEL
-    report["result"] = {
-        "critical_amplitude": bc,
-        "regime": regime.value,
-        "rows": len(lines) - 1,
-        "csv": config["out"],
-        "svg": svg_path,
-        "max_abs_q1": float(np.max(np.abs(result.q1))),
-    }
-    if config["report"] is not None:
-        _write_json_report(config["report"], report)
-    elif config["out"] is not None:
-        # CSV went to a file, so the report can use stdout without clashing.
-        _write_json_report(None, report)
+    # the report goes to --report, else to stdout once the CSV went to a file
+    if config["report"] is not None or config["out"] is not None:
+        _write_report(config["report"], "bec-sim", config, {
+            "critical_amplitude": bc,
+            "regime": regime.value,
+            "rows": len(lines) - 1,
+            "csv": config["out"],
+            "svg": svg_path,
+            "max_abs_q1": float(np.max(np.abs(result.q1))),
+        }, kernel=becsim.KERNEL)
     return EXIT_OK
 
 
@@ -389,16 +359,14 @@ def _cmd_verify(config: dict[str, Any]) -> int:
     failed = [r for r in results if not r.passed]
     sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
     if config["out"] is not None:
-        report = _report_skeleton("verify", config)
-        report["result"] = {
+        _write_report(config["out"], "verify", config, {
             "checks": [
                 {"group": r.group, "name": r.name, "passed": r.passed, "detail": r.detail}
                 for r in results
             ],
             "passed": len(results) - len(failed),
             "failed": len(failed),
-        }
-        _write_json_report(config["out"], report)
+        })
     if failed:
         sys.stderr.write(f"invariant failure: {failed[0].group}/{failed[0].name}\n")
         return EXIT_INVARIANT

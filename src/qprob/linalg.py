@@ -102,9 +102,10 @@ def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
 
     ``|u|`` is ``sqrt(Re u . Re u + Im u . Im u)``, the formula
     ``np.linalg.norm`` evaluates for a complex vector.  ``u`` is ``v`` itself
-    unless that squared norm is 0, subnormal or infinite; then ``u`` is ``v``
-    scaled by the power of two of :func:`power_of_two_scaled`, which brings
-    the squared norm into the normal range without a warning.
+    unless that squared norm is 0 or subnormal, or :func:`squares_fit` finds
+    that it could overflow; then ``u`` is ``v`` scaled by the power of two of
+    :func:`power_of_two_scaled`, which brings the squared norm into the
+    normal range without a warning.
     """
     squared = _squared_norm(v)
     if not NORMAL_MIN <= squared < math.inf:
@@ -114,9 +115,19 @@ def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _squared_norm(v: np.ndarray) -> float:
+    """``Re v . Re v + Im v . Im v``, or inf where a square or the sum could overflow."""
+    if not squares_fit(abs(v)):
+        return math.inf
     re, im = v.real, v.imag
-    with np.errstate(over="ignore"):
-        return float(re.dot(re) + im.dot(im))
+    return float(re.dot(re) + im.dot(im))
+
+
+def squares_fit(magnitudes: np.ndarray) -> bool:
+    """Whether the squares of ``magnitudes`` (finite, nonnegative, nonempty)
+    and their sum stay below 2**1023, so that none overflows.  Decided from
+    the largest entry on Python floats, which costs less than ``np.errstate``."""
+    top = magnitudes.item(magnitudes.argmax())
+    return top * top * magnitudes.size < 2.0**1023
 
 
 def power_of_two_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:

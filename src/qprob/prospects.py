@@ -173,6 +173,13 @@ def max_entangled_state(m: int) -> CompositeState:
     return CompositeState(rho=DensityOperator(matrix), dim_a=m, dim_b=m)
 
 
+def bell_like_state() -> CompositeState:
+    """The entangled pure state of two two-mode factors with amplitudes
+    (1, 1, 1, -1)/2 over |00>, |01>, |10>, |11>; under equal weights its
+    prospects interfere with q = +-1/4, the witness of an entangled state."""
+    return CompositeState(rho=DensityOperator.pure([0.5, 0.5, 0.5, -0.5]), dim_a=2, dim_b=2)
+
+
 def partial_trace(state: CompositeState, keep: Literal["A", "B"]) -> DensityOperator:
     """Marginal state of one factor."""
     blocks = state.matrix.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)

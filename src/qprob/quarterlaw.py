@@ -125,13 +125,13 @@ def q_split_closed(dist: BetaPairDistribution) -> QSplit:
 
 def q_split_numeric(dist: BetaPairDistribution, tol: float = 1e-10) -> QSplit:
     """Expected parts recomputed by quadrature of q times the density."""
-    plus, minus = (_normalizer(a, b, m) * _beta_moment(a, b - 1.0, tol=0.1 * tol) for a, b, m in dist.branches)
+    plus, minus = (_normalizer(a, b, m) * _beta_moment(a + 1.0, b, tol=0.1 * tol) for a, b, m in dist.branches)
     return QSplit(q_plus=plus, q_minus=-minus)
 
 
 def pdf_normalization(dist: BetaPairDistribution, tol: float = 1e-10) -> float:
     """The total probability mass, recomputed by quadrature of the density."""
-    plus, minus = (_normalizer(a, b, m) * _beta_moment(a - 1.0, b - 1.0, tol=0.1 * tol) for a, b, m in dist.branches)
+    plus, minus = (_normalizer(a, b, m) * _beta_moment(a, b, tol=0.1 * tol) for a, b, m in dist.branches)
     return plus + minus
 
 
@@ -174,23 +174,29 @@ def _adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     raise QuadratureError(f"no convergence on [{lo}, {hi}] within {_PANEL_BUDGET} panels")
 
 
-def _half_piece(p: float, r: float, tol: float) -> float:
-    """integral over [0, 1/2] of t^p (1-t)^r dt for p, r > -1.
+def _half_piece(a: float, b: float, tol: float) -> float:
+    """integral over [0, 1/2] of t^(a-1) (1-t)^(b-1) dt for shapes a, b > 0.
 
-    t = u^c, with m = min(20, ceil(20 (p+1))) and c = max(1, m/(p+1)), turns
-    t^p dt into c u^(m-1) du for p < 19: one 20-point panel integrates that
-    weight exactly, so no panel is bisected toward u = 0 (Davis & Rabinowitz,
-    Methods of Numerical Integration).  For p >= 19, c = 1; as p -> -1,
-    u = t^(p+1), and c < 20 + 1/(p+1) keeps the drop of (1-t)^r in sight.
+    t = u^c, with m = min(20, ceil(20 a)) and c = max(1, m/a), turns
+    t^(a-1) dt into c u^(m-1) du for a < 20: one 20-point panel integrates
+    that weight exactly, so no panel is bisected toward u = 0 (Davis &
+    Rabinowitz, Methods of Numerical Integration).  For a >= 20, c = 1; as
+    a -> 0, u = t^a, and c < 20 + 1/a keeps the drop of (1-t)^(b-1) in sight.
+    The rule takes the shape, not the exponent a - 1, which rounds to -1
+    below a = 1e-16.
     """
-    m = min(20, math.ceil(20.0 * (p + 1.0)))
-    c = max(1.0, m / (p + 1.0))
-    e = c * (p + 1.0) - 1.0
-    return c * _adaptive_gauss(lambda u: u**e * (1.0 - u**c) ** r, 0.0, 0.5 ** (1.0 / c), tol)
+    m = min(20, math.ceil(20.0 * a))
+    c = max(1.0, m / a)
+    e = c * a - 1.0
+    return c * _adaptive_gauss(lambda u: u**e * (1.0 - u**c) ** (b - 1.0), 0.0, 0.5 ** (1.0 / c), tol)
 
 
-def _beta_moment(p: float, r: float, tol: float) -> float:
-    """integral over [0, 1] of t^p (1-t)^r dt, split at 1/2 with mirrored endpoint handling."""
-    if p <= -1.0 or r <= -1.0:
-        raise ValueError(f"moment exponents must exceed -1, got {p!r}, {r!r}")
-    return _half_piece(p, r, 0.5 * tol) + _half_piece(r, p, 0.5 * tol)
+def _beta_moment(a: float, b: float, tol: float) -> float:
+    """B(a, b), the integral over [0, 1] of t^(a-1) (1-t)^(b-1) dt, split at
+    1/2 with mirrored endpoint handling.  B(a, b) exceeds the float range
+    where a shape is below about 1e-308 (and c = 1/a overflows below 5.6e-309):
+    :class:`QuadratureError` then, not an inf or NaN."""
+    moment = _half_piece(a, b, 0.5 * tol) + _half_piece(b, a, 0.5 * tol)
+    if not math.isfinite(moment):
+        raise QuadratureError(f"B({a!r}, {b!r}) lies beyond the float range")
+    return moment

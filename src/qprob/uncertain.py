@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .events import DensityOperator, Observable, clamp_probability
-from .linalg import DEFAULT_TOL, NORMAL_MIN, as_vector, outer, power_of_two_scaled, scaled_norm
+from .linalg import DEFAULT_TOL, NORMAL_MIN, as_vector, outer, power_of_two_scaled, scaled_norm, squares_fit
 
 #: The interference term is real analytically; a larger imaginary residue
 #: indicates a bug, not rounding.
@@ -40,8 +40,8 @@ class ModeWeights:
     def __post_init__(self) -> None:
         v = as_vector(self.values)
         magnitudes = abs(v)
-        top, total = magnitudes.item(magnitudes.argmax()), np.inf
-        if top * top * v.size < 2.0**1023:  # no square or sum overflows; cheaper than errstate
+        total = np.inf
+        if squares_fit(magnitudes):
             probabilities = magnitudes**2
             total = float(probabilities.sum())
         if not NORMAL_MIN <= total < np.inf:  # far from 1: only the message needs it

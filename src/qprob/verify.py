@@ -25,8 +25,8 @@ import numpy as np
 from . import becsim, quarterlaw
 from .events import DensityOperator, Observable, event_probability, union_probability
 from .prospects import (
-    CompositeState,
     Prospect,
+    bell_like_state,
     dephase_modes,
     max_entangled_state,
     mode_pfq,
@@ -91,21 +91,12 @@ class Run:
         return s[:end], u[:end]
 
 
-_BELL_LIKE = np.array([0.5, 0.5, 0.5, -0.5], dtype=np.complex128)
-
-
 def _worst(*values: float) -> float:
     """The largest value, or NaN if any is NaN, so that a NaN fails every bound.
 
     The builtin ``max`` keeps its first argument when a later one is NaN.
     """
     return float(np.max(values))
-
-
-def _bell_like_state() -> CompositeState:
-    return CompositeState(
-        rho=DensityOperator(np.outer(_BELL_LIKE, _BELL_LIKE.conj())), dim_a=2, dim_b=2
-    )
 
 
 def _check_projective_measure(rng: np.random.Generator, run: Run) -> tuple[bool, str]:
@@ -158,7 +149,7 @@ def _check_uncertain_witness(rng: np.random.Generator, run: Run) -> tuple[bool, 
 
 
 def _check_prospect_oracle(rng: np.random.Generator, run: Run) -> tuple[bool, str]:
-    state = _bell_like_state()
+    state = bell_like_state()
     weights = ModeWeights.normalized([1.0, 1.0])
     rho, w = state.matrix, weights.values
     # dense oracle, entry by entry: p_n = <pi_n|rho|pi_n>, f_n the diagonal
@@ -226,13 +217,13 @@ def _check_zero_interference_max_entangled(rng: np.random.Generator, run: Run) -
 
 
 def _check_interference_witness(rng: np.random.Generator, run: Run) -> tuple[bool, str]:
-    res = prospect_probabilities(_bell_like_state(), ModeWeights.normalized([1.0, 1.0]), mode="raw")
+    res = prospect_probabilities(bell_like_state(), ModeWeights.normalized([1.0, 1.0]), mode="raw")
     peak = float(np.max(np.abs(res.q)))
     return peak > 0.1, f"witness max |q| = {peak:.6f}"
 
 
 def _check_decoherence_linearity(rng: np.random.Generator, run: Run) -> tuple[bool, str]:
-    state = _bell_like_state()
+    state = bell_like_state()
     weights = ModeWeights.normalized([1.0, 1.0])
     dephased = dephase_modes(state)
     _, _, q_full = mode_pfq(state.matrix, 2, 2, weights)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import json
@@ -197,6 +198,53 @@ def test_main_maps_each_library_error_to_one_exit_code(capsys, monkeypatch, cls,
     assert run(["measure"], capsys) == (code, "", f"{prefix}raised\n")
 
 
+@pytest.mark.parametrize(
+    "argv, text, name",
+    [
+        pytest.param(["measure", "--state", "diag:{}"], "0.5,0.5", "--state diag:", id="diag"),
+        pytest.param(["measure", "--state", "pure:{}"], "1,1j", "--state pure:", id="pure"),
+        pytest.param(["prospect", "--weights", "{}"], "0.6,0.8j", "--weights", id="weights"),
+        pytest.param(["quarter-law", "--symmetric", "{}"], "1,2", "--symmetric", id="symmetric"),
+        pytest.param(["quarter-law", "--symmetric", "", "--row", "{}"], "2,1,4,5,0.4", "--row", id="row"),
+    ],
+)
+def test_every_list_input_follows_one_rule(capsys, argv, text, name):
+    """Each comma-separated input skips empty entries and refuses a junk
+    entry, or an input with no entries, by naming the input.  A JSON report
+    echoes the input as given, so its config is left out of the comparison."""
+
+    def with_list(value):
+        code, out, err = run([arg.replace("{}", value) for arg in argv], capsys)
+        if out.startswith("{"):
+            out = {key: value for key, value in json.loads(out).items() if key != "config"}
+        return code, out, err
+
+    expected = with_list(text)
+    assert expected[0] == 0 and expected[2] == ""
+    first, rest = text.split(",", 1)
+    assert with_list(text + ",") == expected
+    assert with_list(f"{first},,{rest}") == expected
+    assert with_list(f"{first},junk,{rest}") == (2, "", f"error: {name} entry 'junk' is not a number\n")
+    code, out, err = with_list(",")
+    assert (code, out) == (2, "") and err.startswith(f"error: {name} needs ")
+
+
+def test_one_function_splits_comma_separated_text():
+    """Every comma-separated input of the CLI goes through ``_parse_list``:
+    no other code in ``cli.py`` calls ``split`` with a comma."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+
+    def comma_splits(node):
+        return {
+            call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "split"
+            and any(isinstance(arg, ast.Constant) and arg.value == "," for arg in (*call.args, *(k.value for k in call.keywords)))
+        }
+
+    parser = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_parse_list")
+    assert comma_splits(tree) == comma_splits(parser) != set()
+
+
 @pytest.mark.parametrize("command", ["measure", "prospect"])
 def test_non_hermitian_state_file_exits_2(capsys, tmp_path, command):
     state_path = tmp_path / "state.json"
@@ -369,7 +417,7 @@ class TestBecSim:
     def test_report_refuses_non_finite_values(self, tmp_path):
         report_path = tmp_path / "run.json"
         with pytest.raises(FloatingPointError, match="non-finite"):
-            cli._write_json_report(str(report_path), {"result": {"max_abs_q1": math.nan}})
+            cli._write_report(str(report_path), "bec-sim", {}, {"max_abs_q1": math.nan})
         assert not report_path.exists()
 
     @pytest.mark.parametrize("sigma", ["0", "0.1"])

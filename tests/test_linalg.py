@@ -7,6 +7,8 @@ from qprob.linalg import (
     hermitian_eigen,
     kron,
     outer,
+    scaled_norm,
+    squares_fit,
     trace,
 )
 
@@ -167,3 +169,20 @@ def test_spectral_decomposition_dim():
         eigenvalues=np.array([0.0, 1.0]), eigenvectors=np.eye(2, dtype=complex)
     )
     assert dec.dim == 2
+
+
+class TestScaledNorm:
+    @pytest.mark.parametrize(
+        "magnitudes, fits",
+        [([2.0**511], True), ([2.0**511, 0.0], False), ([2.0**511.5], False), ([1e-300], True)],
+    )
+    def test_squares_fit_decides_from_the_largest_entry(self, magnitudes, fits):
+        assert squares_fit(np.array(magnitudes)) is fits
+
+    @pytest.mark.parametrize("exponent", [-600, 0, 500, 511, 600])
+    def test_direction_on_either_side_of_the_overflow_test(self, exponent):
+        # powers of two scale exactly, so the unit vector keeps its bits
+        # whichever side of the test the vector falls, and nothing warns
+        unit = np.array([1.0, -1.0, 3.0 * 2.0**-60, 1j])
+        u, norm = scaled_norm(unit * 2.0**exponent)
+        assert np.array_equal(u / norm, unit / np.linalg.norm(unit))

@@ -7,6 +7,7 @@ from qprob.prospects import (
     CompositeState,
     DegenerateProspectError,
     Prospect,
+    bell_like_state,
     composite_in_eigenbasis,
     dephase_modes,
     max_entangled_state,
@@ -27,12 +28,6 @@ from qprob.sampling import (
 from qprob.uncertain import IMAG_RESIDUE_TOL, ModeWeights
 
 RNG = np.random.default_rng(314159)
-
-
-def bell_like_state():
-    """Pure state with amplitudes (1, 1, 1, -1)/2 over the four doubled modes."""
-    amplitudes = np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
-    return CompositeState(rho=DensityOperator.pure(amplitudes), dim_a=2, dim_b=2)
 
 
 def pfq_oracle(state, weights):
@@ -404,6 +399,13 @@ class TestStateBuilders:
             for keep in ("A", "B"):
                 reduced = partial_trace(state, keep).matrix
                 assert np.max(np.abs(reduced - np.eye(m) / m)) < 1e-12
+
+    def test_bell_like_matrix(self):
+        # the exact outer product of the amplitudes (1, 1, 1, -1)/2
+        amplitudes = np.array([0.5, 0.5, 0.5, -0.5], dtype=complex)
+        state = bell_like_state()
+        assert (state.dim_a, state.dim_b) == (2, 2)
+        assert np.array_equal(state.matrix, np.outer(amplitudes, amplitudes.conj()))
 
     def test_max_entangled_rejects_small(self):
         with pytest.raises(ValueError):

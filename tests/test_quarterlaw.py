@@ -84,6 +84,11 @@ class TestPdf:
             dist = random_symmetric_mass_distribution(RNG)
             assert pdf_normalization(dist) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("shape", [1e-300, 1e-100, 1e-10])
+    def test_normalization_at_small_shapes(self, shape):
+        # shape - 1 rounds to -1 below about 1e-16, so only the shape can carry these
+        assert pdf_normalization(BetaPairDistribution.symmetric(shape), tol=1e-10) == pytest.approx(1.0, abs=1e-10)
+
 
 class TestClosedForm:
     def test_uniform_quarter_law(self):
@@ -165,6 +170,23 @@ class TestNumeric:
             worst = max(worst, abs(closed.q_plus - numeric.q_plus), abs(closed.q_minus - numeric.q_minus))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("shape", [1e-300, 1e-100, 1e-10])
+    def test_quarter_law_at_small_shapes(self, shape):
+        # shape - 1 rounds to -1 below about 1e-16, so only the shape can carry these
+        split = q_split_numeric(BetaPairDistribution.symmetric(shape), tol=1e-10)
+        assert split.q_plus == pytest.approx(0.25, abs=1e-10)
+        assert split.q_minus == pytest.approx(-0.25, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [1e-308, 1e-310, 5e-324])
+    def test_moments_beyond_the_float_range_raise(self, shape):
+        # B(shape, shape) ~ 2/shape overflows, and 1/shape itself below 5.6e-309
+        dist = BetaPairDistribution.symmetric(shape)
+        with pytest.raises(QuadratureError, match="beyond the float range"):
+            pdf_normalization(dist)
+        if shape < 5e-309:
+            with pytest.raises(QuadratureError, match="beyond the float range"):
+                q_split_numeric(dist)
+
 
 class TestZeroMean:
     def test_uniform(self):
@@ -220,7 +242,7 @@ def test_adaptive_gauss_ends_a_jump_at_machine_resolution():
 
 def test_beta_moment_needs_few_panels(monkeypatch):
     """The substitution t = u^c leaves no endpoint weight to bisect toward
-    u = 0: at p = r = 0.3 direct quadrature of t^p took 398 panels."""
+    u = 0: at shapes 1.3, 1.3 direct quadrature of t^0.3 took 398 panels."""
     panels = []
     gauss_panel = quarterlaw._gauss_panel
 
@@ -229,22 +251,22 @@ def test_beta_moment_needs_few_panels(monkeypatch):
         return gauss_panel(f, lo, hi)
 
     monkeypatch.setattr(quarterlaw, "_gauss_panel", counted)
-    grid = [-0.7, -0.5, -0.3, 0.0, 0.3, 0.5, 1.0, 2.0, 3.5, 5.0]
+    grid = [0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 2.0, 3.0, 4.5, 6.0]
     most = 0
-    for p in grid + [10.0]:
-        for r in grid + [9.0]:
+    for a in grid + [11.0]:
+        for b in grid + [10.0]:
             panels.clear()
-            got = quarterlaw._beta_moment(p, r, 1e-11)
-            assert got == pytest.approx(math.exp(log_beta(p + 1.0, r + 1.0)), abs=1e-11)
+            got = quarterlaw._beta_moment(a, b, 1e-11)
+            assert got == pytest.approx(math.exp(log_beta(a, b)), abs=1e-11)
             most = max(most, len(panels))
     assert most <= 30
 
 
 def test_beta_moment_near_the_exponent_floor():
-    """At p = -0.999 the (1-t)^1000 drop sits near the upper end of u; a
-    substitution that squeezes it further (c = 20/(p+1)) misses by 6.8.
-    The reference B(a, 1001) = 1000! / (a (a+1) ... (a+1000)) is good to
+    """At shape a = 0.001 (exponent -0.999) the (1-t)^1000 drop sits near the
+    upper end of u; a substitution that squeezes it further (c = 20/a) misses
+    by 6.8.  The reference B(a, 1001) = 1000! / (a (a+1) ... (a+1000)) is good to
     about 3e-11 here, where exp(log_beta(a, 1001)) is off by 6.1e-10."""
-    a = -0.999 + 1.0
+    a = 0.001
     exact = math.prod(k / (k + a) for k in range(1, 1001)) / a
-    assert quarterlaw._beta_moment(-0.999, 1000.0, 1e-11) == pytest.approx(exact, abs=1e-10)
+    assert quarterlaw._beta_moment(a, 1001.0, 1e-11) == pytest.approx(exact, abs=1e-10)
