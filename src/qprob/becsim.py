@@ -304,37 +304,35 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     n = params.n_steps
     width = path_hi - path_lo
     sig_sqdt = params.sigma * math.sqrt(params.dt)
-    # Per-step cost at narrow widths is call overhead, so constants are
-    # arrays, every view is made before the loop and outputs are positional.
-    # Broadcasting a column costs more than reading a full array, so the
-    # constants are stored full width.
-    b = np.full(width, params.b)
-    half, full, sixth = (
-        np.repeat([[-h], [h], [-h]], width, axis=1)
-        for h in (0.5 * params.dt, params.dt, params.dt / 6.0)
-    )
+    # Per-step cost at narrow widths is call overhead, so every view is made
+    # before the loop and outputs are positional.  The lanes carry U = -u in
+    # place of u, which turns the drift into
+    #     dU/dt = s v,   dv/dt = s (b - U),   ds/dt = v (-b):
+    # every sign sits inside a product, so each step constant is one 0-d
+    # array, and since negation is exact the bits are those of (u, v, s).
+    b, neg_b = np.array(params.b), np.array(-params.b)
+    half, full, sixth = np.array(0.5 * params.dt), np.array(params.dt), np.array(params.dt / 6.0)
     mul, add, sub = np.multiply, np.add, np.subtract
-    # Rows u, v, s.  The slopes are stored as (s v, s (u + b), b v): the
-    # signs of du/dt = -s v and ds/dt = -b v ride on the step constants.
-    y, stage, k1, k2, k3, k4 = np.empty((6, 3, width))
+    # Rows U, v, s and T = b - U: T sits two rows below v, so one call forms
+    # the slopes (s v, s T) of U and v.
+    y, stage = np.empty((2, 4, width))
+    k1, k2, k3, k4 = np.empty((4, 3, width))
     r = math.sqrt(1.0 - params.s0 * params.s0)
-    y[0], y[1], y[2] = r * math.cos(params.x0), r * math.sin(params.x0), params.s0
-    uv, vu, stage_uv, rot = y[:2], y[1::-1], stage[:2], k4[:2]
-    y_rows, stage_rows, k1_rows, k2_rows, k3_rows, k4_rows = (
-        tuple(a) for a in (y, stage, k1, k2, k3, k4)
-    )
-    (u, v, s), (u_cos, v_cos, _), (v_sin, u_sin, _) = y_rows, stage_rows, k4_rows
+    y[0], y[1], y[2] = -(r * math.cos(params.x0)), r * math.sin(params.x0), params.s0
+    y3, stage3, uv, vu, stage_uv, rot = y[:3], stage[:3], y[:2], y[1::-1], stage[:2], k4[:2]
+    (big_u, v, s, _), (u_cos, v_cos, _, _), (v_sin, u_sin, _) = y, stage, k4
+    y_rows, stage_rows = ((*x, x[1::2]) for x in (y, stage))
+    k1_rows, k2_rows, k3_rows, k4_rows = ((x[:2], x[2]) for x in (k1, k2, k3, k4))
     mean, m2 = np.empty((2, n + 1))
     mean[0], m2[0] = params.s0, 0.0
     drift = 0.0
 
     def slopes(state, k):
-        su, sv, ss = state
-        ku, kv, ks = k
-        mul(ss, sv, ku)
-        add(su, b, kv)
-        mul(ss, kv, kv)
-        mul(sv, b, ks)
+        su, sv, ss, st, svt = state
+        kuv, ks = k
+        sub(b, su, st)
+        mul(ss, svt, kuv)
+        mul(sv, neg_b, ks)
 
     # The noise blocks span whole groups; the lanes are columns
     # [offset, offset + width) of them.
@@ -360,20 +358,21 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             np.cos(angles, spent)
             np.sin(angles, angles)
             for cos_t, sin_t in zip(spent, angles):
-                # (u, v) -> (u cos - v sin, v cos + u sin)
+                # (U, v) -> (U cos + v sin, v cos - U sin), the rotation of
+                # (u, v) by the noise angle
                 mul(vu, sin_t, rot)
                 mul(uv, cos_t, stage_uv)
-                sub(u_cos, v_sin, u)
-                add(v_cos, u_sin, v)
+                add(u_cos, v_sin, big_u)
+                sub(v_cos, u_sin, v)
                 slopes(y_rows, k1_rows)
-                mul(k1, half, stage)
-                add(y, stage, stage)
+                mul(k1, half, stage3)
+                add(y3, stage3, stage3)
                 slopes(stage_rows, k2_rows)
-                mul(k2, half, stage)
-                add(y, stage, stage)
+                mul(k2, half, stage3)
+                add(y3, stage3, stage3)
                 slopes(stage_rows, k3_rows)
-                mul(k3, full, stage)
-                add(y, stage, stage)
+                mul(k3, full, stage3)
+                add(y3, stage3, stage3)
                 slopes(stage_rows, k4_rows)
                 add(k2, k3, k2)
                 add(k2, k2, k2)
@@ -381,7 +380,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
                 add(k1, k4, k1)
                 mul(k1, sixth, k1)
                 k += 1
-                add(y, k1, y)
+                add(y3, k1, y3)
                 # the spent cosines of this step keep its s for the reduction
                 np.copyto(cos_t, s)
             # Row by row the same sums, differences and dot products as a
@@ -391,7 +390,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             levels /= width
             spent -= levels[:, None]
             m2[k - block + 1:k + 1] = (spent[:, None, :] @ spent[:, :, None]).ravel()
-            drift = max(drift, float(np.max(np.abs((y * y).sum(axis=0) - 1.0))))
+            drift = max(drift, float(np.max(np.abs((y3 * y3).sum(axis=0) - 1.0))))
     _require_finite(params.dt, mean, m2)
     return mean, m2, drift
 
