@@ -77,10 +77,24 @@ CRITICAL_DENOMINATOR_TOL = 1e-12
 #: A pumping amplitude this close to the critical one is classed as critical.
 REGIME_TOL = 1e-9
 
+#: Largest noise angle |sigma dW| whose cosine and sine may come from
+#: Taylor polynomials: at 0.1 the first omitted terms, 0.1^10/10! and
+#: 0.1^11/11!, lie below a quarter of an ulp.
+SMALL_ANGLE = 0.1
+
+#: Coefficients of z^4 ... z of cos and of z^4 ... z of (sin(a) - a)/a,
+#: with z = a^2, highest first for Horner's rule.
+_COS_TAYLOR = (1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -0.5)
+_SIN_TAYLOR = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
+
+#: Noise angles per polynomial tile: one group's noise block, 256 KiB.
+_ANGLE_TILE = _NOISE_BLOCK * GROUP_LANES
+
 #: The scheme of every noisy path, as named in reports.
 KERNEL = (
-    "bloch-lie-rk4/sfc64-groups: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift; "
-    "dW from one SFC64 stream per 64-path group"
+    "bloch-lie-rk4/sfc64-groups/taylor-small-angles: exact (u, v) rotation by sigma dW, then classical RK4 "
+    "of the Bloch drift; dW from one SFC64 stream per 64-path group; the rotation's cosine and sine from "
+    "degree-8 and degree-9 Taylor polynomials where a group's noise block has |sigma dW| <= 0.1"
 )
 
 
@@ -288,6 +302,31 @@ def group_noise_generator(seed: int, group: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(sequence))
 
 
+def _small_angle_cos_sin(angles: np.ndarray, cos_out: np.ndarray, z: np.ndarray) -> None:
+    """Cosines of ``angles`` into ``cos_out`` and their sines in place, by
+    Horner's rule on the Taylor polynomials of degree 8 and 9, for
+    |angle| <= :data:`SMALL_ANGLE`; ``z`` is scratch of the same shape.
+
+    There each value lies within one ulp of ``np.cos`` and ``np.sin``, and
+    an angle of 0 gives exactly (1, 0).
+    """
+    mul, add = np.multiply, np.add
+    mul(angles, angles, z)
+    # sin = a + a z (-1/6 + z (1/120 + ...)), built in cos_out
+    mul(z, _SIN_TAYLOR[0], cos_out)
+    for c in _SIN_TAYLOR[1:]:
+        add(cos_out, c, cos_out)
+        mul(cos_out, z, cos_out)
+    mul(cos_out, angles, cos_out)
+    add(angles, cos_out, angles)
+    # cos = 1 + z (-1/2 + z (1/24 + ...))
+    mul(z, _COS_TAYLOR[0], cos_out)
+    for c in _COS_TAYLOR[1:]:
+        add(cos_out, c, cos_out)
+        mul(cos_out, z, cos_out)
+    add(cos_out, 1.0, cos_out)
+
+
 def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     """Integrate the noisy paths [path_lo, path_hi) side by side, one lane each.
 
@@ -310,28 +349,35 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     #     dU/dt = s v,   dv/dt = s (b - U),   ds/dt = v (-b):
     # every sign sits inside a product, so each step constant is one 0-d
     # array, and since negation is exact the bits are those of (u, v, s).
+    # Every call takes operands of one shape or a 0-d constant: a row
+    # broadcast against a block of rows costs more than two row calls.
     b, neg_b = np.array(params.b), np.array(-params.b)
     half, full, sixth = np.array(0.5 * params.dt), np.array(params.dt), np.array(params.dt / 6.0)
     mul, add, sub = np.multiply, np.add, np.subtract
-    # Rows U, v, s and T = b - U: T sits two rows below v, so one call forms
-    # the slopes (s v, s T) of U and v.
-    y, stage = np.empty((2, 4, width))
-    k1, k2, k3, k4 = np.empty((4, 3, width))
+    # Rows U, v, s; the slopes are stored in the same order.  The six
+    # arrays start 640 bytes apart modulo 4 KiB: at widths that are a
+    # multiple of 512 they would otherwise share their low 12 address bits,
+    # and a load that matches an earlier store in those bits waits for it
+    # (4K aliasing), which cost 10 % of the kernel at 1024 lanes.
+    pitch = 3 * width + (80 - 3 * width) % 512
+    arena = np.empty(6 * pitch)
+    y, stage, k1, k2, k3, k4 = (arena[i * pitch:i * pitch + 3 * width].reshape(3, width) for i in range(6))
     r = math.sqrt(1.0 - params.s0 * params.s0)
     y[0], y[1], y[2] = -(r * math.cos(params.x0)), r * math.sin(params.x0), params.s0
-    y3, stage3, uv, vu, stage_uv, rot = y[:3], stage[:3], y[:2], y[1::-1], stage[:2], k4[:2]
-    (big_u, v, s, _), (u_cos, v_cos, _, _), (v_sin, u_sin, _) = y, stage, k4
-    y_rows, stage_rows = ((*x, x[1::2]) for x in (y, stage))
-    k1_rows, k2_rows, k3_rows, k4_rows = ((x[:2], x[2]) for x in (k1, k2, k3, k4))
+    y_rows, stage_rows, k1_rows, k2_rows, k3_rows, k4_rows = (
+        tuple(a) for a in (y, stage, k1, k2, k3, k4)
+    )
+    (big_u, v, s), (u_cos, v_cos, _), (v_sin, u_sin, _) = y_rows, stage_rows, k4_rows
     mean, m2 = np.empty((2, n + 1))
     mean[0], m2[0] = params.s0, 0.0
     drift = 0.0
 
     def slopes(state, k):
-        su, sv, ss, st, svt = state
-        kuv, ks = k
-        sub(b, su, st)
-        mul(ss, svt, kuv)
+        su, sv, ss = state
+        ku, kv, ks = k
+        mul(ss, sv, ku)
+        sub(b, su, kv)
+        mul(ss, kv, kv)
         mul(sv, neg_b, ks)
 
     # The noise blocks span whole groups; the lanes are columns
@@ -340,6 +386,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     generators = [group_noise_generator(params.seed, g) for g in range(first, -(-path_hi // GROUP_LANES))]
     groups = len(generators)
     cos_block, sin_block = np.empty((2, min(_NOISE_BLOCK, n), groups * GROUP_LANES))
+    scratch = np.empty(min(_ANGLE_TILE, cos_block.size))
     k = 0
     # a non-finite state is reported once, after the loop
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,28 +398,49 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             draws = cos_block[:block].reshape(groups, block, GROUP_LANES)
             for gen, slab in zip(generators, draws):
                 gen.standard_normal(out=slab)
-            np.copyto(sin_block[:block].reshape(block, groups, GROUP_LANES), draws.transpose(1, 0, 2))
+            # A group's largest |angle| picks the route of all its cosines
+            # and sines, so a path takes the same route in any range.
+            extremes = draws.reshape(groups, -1)
+            large = np.maximum(extremes.max(axis=1), -extremes.min(axis=1)) * sig_sqdt > SMALL_ANGLE
+            normals = sin_block[:block].reshape(block, groups, GROUP_LANES)
+            np.copyto(normals, draws.transpose(1, 0, 2))
             angles = sin_block[:block, offset:offset + width]
             spent = cos_block[:block, offset:offset + width]
-            angles *= sig_sqdt
-            np.cos(angles, spent)
-            np.sin(angles, angles)
+            if large.all():
+                angles *= sig_sqdt
+                np.cos(angles, spent)
+                np.sin(angles, angles)
+            else:
+                # The polynomials run on contiguous tiles of the whole padded
+                # block, which beats the strided lane view even where most
+                # of a group is padding; any large group is then redone.
+                outliers = normals[:, large] * sig_sqdt
+                flat_angles, flat_cos = sin_block[:block].reshape(-1), cos_block[:block].reshape(-1)
+                for lo in range(0, flat_angles.size, _ANGLE_TILE):
+                    tile = flat_angles[lo:lo + _ANGLE_TILE]
+                    tile *= sig_sqdt
+                    _small_angle_cos_sin(tile, flat_cos[lo:lo + _ANGLE_TILE], scratch[:tile.size])
+                if outliers.size:
+                    cos_block[:block].reshape(block, groups, GROUP_LANES)[:, large] = np.cos(outliers)
+                    normals[:, large] = np.sin(outliers)
             for cos_t, sin_t in zip(spent, angles):
                 # (U, v) -> (U cos + v sin, v cos - U sin), the rotation of
                 # (u, v) by the noise angle
-                mul(vu, sin_t, rot)
-                mul(uv, cos_t, stage_uv)
+                mul(v, sin_t, v_sin)
+                mul(big_u, sin_t, u_sin)
+                mul(big_u, cos_t, u_cos)
+                mul(v, cos_t, v_cos)
                 add(u_cos, v_sin, big_u)
                 sub(v_cos, u_sin, v)
                 slopes(y_rows, k1_rows)
-                mul(k1, half, stage3)
-                add(y3, stage3, stage3)
+                mul(k1, half, stage)
+                add(y, stage, stage)
                 slopes(stage_rows, k2_rows)
-                mul(k2, half, stage3)
-                add(y3, stage3, stage3)
+                mul(k2, half, stage)
+                add(y, stage, stage)
                 slopes(stage_rows, k3_rows)
-                mul(k3, full, stage3)
-                add(y3, stage3, stage3)
+                mul(k3, full, stage)
+                add(y, stage, stage)
                 slopes(stage_rows, k4_rows)
                 add(k2, k3, k2)
                 add(k2, k2, k2)
@@ -380,7 +448,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
                 add(k1, k4, k1)
                 mul(k1, sixth, k1)
                 k += 1
-                add(y3, k1, y3)
+                add(y, k1, y)
                 # the spent cosines of this step keep its s for the reduction
                 np.copyto(cos_t, s)
             # Row by row the same sums, differences and dot products as a
@@ -390,7 +458,7 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             levels /= width
             spent -= levels[:, None]
             m2[k - block + 1:k + 1] = (spent[:, None, :] @ spent[:, :, None]).ravel()
-            drift = max(drift, float(np.max(np.abs((y3 * y3).sum(axis=0) - 1.0))))
+            drift = max(drift, float(np.max(np.abs((y * y).sum(axis=0) - 1.0))))
     _require_finite(params.dt, mean, m2)
     return mean, m2, drift
 

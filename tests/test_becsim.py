@@ -27,6 +27,61 @@ def lane_s(params, path_index):
     return becsim._bloch_lanes(params, path_index, path_index + 1)[0]
 
 
+def replay_lanes(params, lo, hi, route):
+    """Oracle: the lanes [lo, hi) stepped one expression at a time in (u, v, s),
+    with the signs and operation order of :func:`integrate_deterministic`.
+
+    ``route(blocks)`` gets the noise angles of one noise block, one
+    (steps, GROUP_LANES) array per group, and says for each group whether
+    its cosines and sines come from the small-angle polynomials (True) or
+    from np.cos and np.sin (False).  Returns the per-step mean of s, as the
+    kernel reduces it.
+    """
+    n, b, dt, lanes = params.n_steps, params.b, params.dt, becsim.GROUP_LANES
+    half, sixth = 0.5 * dt, dt / 6.0
+    first = lo // lanes
+    streams = [group_noise_generator(params.seed, g) for g in range(first, -(-hi // lanes))]
+    angles = np.hstack([gen.standard_normal((n, lanes)) for gen in streams]) * (params.sigma * math.sqrt(dt))
+    cos, sin = np.empty_like(angles), np.empty_like(angles)
+    for k in range(0, n, becsim._NOISE_BLOCK):
+        steps = slice(k, k + becsim._NOISE_BLOCK)
+        blocks = [angles[steps, j * lanes:(j + 1) * lanes].copy() for j in range(len(streams))]
+        for j, (theta, small) in enumerate(zip(blocks, route(blocks))):
+            cols = slice(j * lanes, (j + 1) * lanes)
+            if small:
+                cos_theta, sin_theta = np.empty_like(theta), theta.copy()
+                becsim._small_angle_cos_sin(sin_theta, cos_theta, np.empty_like(theta))
+            else:
+                cos_theta, sin_theta = np.cos(theta), np.sin(theta)
+            cos[steps, cols], sin[steps, cols] = cos_theta, sin_theta
+    cols = slice(lo - first * lanes, hi - first * lanes)
+    r = math.sqrt(1.0 - params.s0 * params.s0)
+    width = hi - lo
+    u, v, s = np.full(width, r * math.cos(params.x0)), np.full(width, r * math.sin(params.x0)), np.full(width, params.s0)
+    paths = np.empty((n + 1, width))
+    paths[0] = s
+    for k in range(n):
+        c, sn = cos[k, cols], sin[k, cols]
+        u, v = u * c - v * sn, v * c + u * sn
+        k1u, k1v, k1s = s * v, s * (u + b), b * v
+        u2, v2, s2 = u - half * k1u, v + half * k1v, s - half * k1s
+        k2u, k2v, k2s = s2 * v2, s2 * (u2 + b), b * v2
+        u3, v3, s3 = u - half * k2u, v + half * k2v, s - half * k2s
+        k3u, k3v, k3s = s3 * v3, s3 * (u3 + b), b * v3
+        u4, v4, s4 = u - dt * k3u, v + dt * k3v, s - dt * k3s
+        u = u - sixth * (k1u + 2.0 * (k2u + k3u) + s4 * v4)
+        v = v + sixth * (k1v + 2.0 * (k2v + k3v) + s4 * (u4 + b))
+        s = s - sixth * (k1s + 2.0 * (k2s + k3s) + b * v4)
+        paths[k + 1] = s
+    return np.add.reduce(paths, axis=1) / width
+
+
+def by_group(blocks):
+    """The kernel's route: a group's noise block is small where its largest
+    |angle| is at most SMALL_ANGLE."""
+    return [float(np.max(np.abs(theta))) <= becsim.SMALL_ANGLE for theta in blocks]
+
+
 def polar_rk4(params):
     """Oracle: classical RK4 stepped directly in (s, x), clamped off the pole."""
     b, dt, clamp = params.b, params.dt, 1.0 - 1e-12
@@ -104,20 +159,34 @@ def test_energy_is_conserved_symbolically():
 
 
 #: SHA-256 of (mean, m2, drift) from ``_bloch_lanes`` over 700 steps (one
-#: full and one partial noise block), by (b, width).  Widths 63 and 65 sit
-#: either side of a noise group.  With CURVE_BITS they pin both
-#: integrators' bits: a change that moves one needs a new KERNEL.
+#: full and one partial noise block), by (sigma, b, width).  Widths 63 and 65
+#: sit either side of a noise group.  At sigma = 0.1 and 0.6 every noise
+#: block takes the small-angle polynomials; at 0.6 enough of their values
+#: differ from np.cos and np.sin that the rows at widths 200 and 1024, and at
+#: 65 for b = 0.25, move if the route does.  At 1.5 every noise block
+#: exceeds SMALL_ANGLE and takes np.cos and np.sin.  With CURVE_BITS they
+#: pin both integrators' bits: a change that moves one needs a new KERNEL.
 LANE_BITS = {
-    (0.25, 1): "4faef19fe7d297e295362c4cd0da5d39cde648856c43b1de12620c476d73cea4",
-    (0.25, 63): "2f40be7c8026f2ea1daaab5127c6e6ef16a574f7c4d0825a11a7d60a1a70eb24",
-    (0.25, 65): "80651161584b17509201f2cae1ffe3fe5c06e67e0a61d839d46c18786a69fc25",
-    (0.25, 200): "7c30118921e540446bfa005001ff47ea7880504023043aadf08f77105522f988",
-    (0.25, 1024): "623d2154efe749044b035c01422105b72239bfcf7d777bbc7839260982f3f013",
-    (0.5, 1): "0c70b5df75ecc2e8bd9d41b2eff43e1a40a1f12d6c336bfaaac0c5d8edf361de",
-    (0.5, 63): "c8844ca9893fe5e67f4829f83f83fc5253b067763ff6ce5ccabca7fb20b2d762",
-    (0.5, 65): "c3d8feb3da6361b1f5c029d690e83c6ebacc33c09005e5a8177ebadbcd4a5f47",
-    (0.5, 200): "401be161fecaf37cfceb70b3f52bea1ca9a4c7a5a2194bf1d130c8d4533add2a",
-    (0.5, 1024): "704e5e498f2d19b87b9acafa37837106a614eca967a62392f827c36256a032a5",
+    (0.1, 0.25, 1): "4faef19fe7d297e295362c4cd0da5d39cde648856c43b1de12620c476d73cea4",
+    (0.1, 0.25, 63): "2f40be7c8026f2ea1daaab5127c6e6ef16a574f7c4d0825a11a7d60a1a70eb24",
+    (0.1, 0.25, 65): "80651161584b17509201f2cae1ffe3fe5c06e67e0a61d839d46c18786a69fc25",
+    (0.1, 0.25, 200): "7c30118921e540446bfa005001ff47ea7880504023043aadf08f77105522f988",
+    (0.1, 0.25, 1024): "623d2154efe749044b035c01422105b72239bfcf7d777bbc7839260982f3f013",
+    (0.1, 0.5, 1): "0c70b5df75ecc2e8bd9d41b2eff43e1a40a1f12d6c336bfaaac0c5d8edf361de",
+    (0.1, 0.5, 63): "c8844ca9893fe5e67f4829f83f83fc5253b067763ff6ce5ccabca7fb20b2d762",
+    (0.1, 0.5, 65): "c3d8feb3da6361b1f5c029d690e83c6ebacc33c09005e5a8177ebadbcd4a5f47",
+    (0.1, 0.5, 200): "401be161fecaf37cfceb70b3f52bea1ca9a4c7a5a2194bf1d130c8d4533add2a",
+    (0.1, 0.5, 1024): "704e5e498f2d19b87b9acafa37837106a614eca967a62392f827c36256a032a5",
+    (0.6, 0.25, 65): "0b19511a2c2ebb6c672694ed5738c778624a2e2abd8421d3b64e3aab79f077a5",
+    (0.6, 0.25, 200): "eb2b2ed9e682d87d27e6f822109a3d22696c51af0d6596eb79b3aab25335101d",
+    (0.6, 0.25, 1024): "2c516de0e837c165e7c311913491263fb88fb72863d71503fd7cbd7f20b3e7b7",
+    (0.6, 0.5, 65): "7d0c1d9fcc9b7300b743202c47ffa7fec9c48dd1fee189a63ab4225809c4bc7f",
+    (0.6, 0.5, 200): "2bdd3e7348f559ebc37540c811b7249d930be6e3dc8a1797c0af1c5372e39828",
+    (0.6, 0.5, 1024): "9d18882d7d0ebba695f83f566f06d681c2d48c85e6f6bec07c99605e3b6182e8",
+    (1.5, 0.25, 1): "76463aaa3ecca904e1cca4bb2038aaa9e041fa11b871ae5356754bba00c194fe",
+    (1.5, 0.25, 200): "df84ad41dc0f75aa2046ccf1ab740ff55266472f039a4eb8789a698ed62a2bc6",
+    (1.5, 0.5, 1): "6aba2ac2f0759f91fe0a43642328e936dad97ab81b28eeb1e2964aaeef95fac4",
+    (1.5, 0.5, 200): "c4da2c17437bb0581193ebeca457f3d4430f777f6bba056da2e4878c937ed5c8",
 }
 
 #: SHA-256 of (u, v, s) from ``integrate_deterministic`` over t = 20, by (b, x0).
@@ -130,25 +199,66 @@ CURVE_BITS = {
 
 #: The scheme these bits belong to.
 GOLDEN_KERNEL = (
-    "bloch-lie-rk4/sfc64-groups: exact (u, v) rotation by sigma dW, then classical RK4 of the Bloch drift; "
-    "dW from one SFC64 stream per 64-path group"
+    "bloch-lie-rk4/sfc64-groups/taylor-small-angles: exact (u, v) rotation by sigma dW, then classical RK4 "
+    "of the Bloch drift; dW from one SFC64 stream per 64-path group; the rotation's cosine and sine from "
+    "degree-8 and degree-9 Taylor polynomials where a group's noise block has |sigma dW| <= 0.1"
 )
 
 
 class TestGoldenBits:
-    @pytest.mark.parametrize("b, width", sorted(LANE_BITS))
-    def test_lanes(self, b, width):
-        params = BecParams(b=b, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=max(width, 2), seed=5)
+    @pytest.mark.parametrize("sigma, b, width", sorted(LANE_BITS))
+    def test_lanes(self, sigma, b, width):
+        params = BecParams(b=b, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=max(width, 2), seed=5)
         assert params.n_steps == 700
         mean, m2, drift = becsim._bloch_lanes(params, 0, width)
         digest = hashlib.sha256(mean.tobytes() + m2.tobytes() + np.float64(drift).tobytes()).hexdigest()
-        assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, LANE_BITS[b, width])
+        assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, LANE_BITS[sigma, b, width])
 
     @pytest.mark.parametrize("b, x0", sorted(CURVE_BITS))
     def test_noiseless_curve(self, b, x0):
         traj = integrate_deterministic(BecParams(b=b, sigma=0.0, s0=-0.9, x0=x0, dt=1e-3, t_max=20.0))
         digest = hashlib.sha256(traj.u.tobytes() + traj.v.tobytes() + traj.s.tobytes()).hexdigest()
         assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, CURVE_BITS[b, x0])
+
+
+class TestSmallAngles:
+    def test_polynomials_are_within_one_ulp_of_libm(self):
+        theta = np.linspace(-becsim.SMALL_ANGLE, becsim.SMALL_ANGLE, 400_001)
+        cos, sin = np.empty_like(theta), theta.copy()
+        becsim._small_angle_cos_sin(sin, cos, np.empty_like(theta))
+        for got, want in ((cos, np.cos(theta)), (sin, np.sin(theta))):
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        at_zero = np.zeros(3)
+        cos0 = np.empty(3)
+        becsim._small_angle_cos_sin(at_zero, cos0, np.empty(3))
+        assert np.all(cos0 == 1.0) and np.all(at_zero == 0.0)
+
+    @pytest.mark.parametrize("sigma, lo, hi", [(0.6, 0, 200), (5.0, 3, 4)])
+    def test_route_follows_the_largest_angle(self, sigma, lo, hi):
+        # at sigma = 0.6 every noise block is small and takes the
+        # polynomials; at 5 every one is large and takes np.cos and np.sin,
+        # here on one lane, replayed alone
+        params = BecParams(b=0.25, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=hi, seed=5)
+        mean = becsim._bloch_lanes(params, lo, hi)[0]
+        small = sigma < 1.0
+        assert np.array_equal(mean[1:], replay_lanes(params, lo, hi, by_group)[1:])
+        assert np.array_equal(mean[1:], replay_lanes(params, lo, hi, lambda blocks: [small] * len(blocks))[1:])
+        assert not np.array_equal(mean, replay_lanes(params, lo, hi, lambda blocks: [not small] * len(blocks)))
+
+    def test_each_group_keeps_its_route_in_a_mixed_block(self):
+        # seed 7, sigma 0.7: group 0's first noise block exceeds SMALL_ANGLE
+        # and group 1's does not, so its lanes keep the polynomials that a
+        # range of group 1 alone gives them
+        params = BecParams(b=0.25, sigma=0.7, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=128, seed=7)
+        peaks = [
+            float(np.max(np.abs(group_noise_generator(7, g).standard_normal((512, 64))))) * 0.7 * math.sqrt(1e-3)
+            for g in (0, 1)
+        ]
+        assert peaks[0] > becsim.SMALL_ANGLE >= peaks[1]
+        mean = becsim._bloch_lanes(params, 0, 128)[0]
+        assert np.array_equal(mean[1:], replay_lanes(params, 0, 128, by_group)[1:])
+        whole_block = replay_lanes(params, 0, 128, lambda blocks: [all(by_group(blocks))] * len(blocks))
+        assert not np.array_equal(mean, whole_block)
 
 
 class TestParams:
