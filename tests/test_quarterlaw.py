@@ -188,6 +188,31 @@ class TestNumeric:
                 q_split_numeric(dist)
 
 
+class TestEveryShape:
+    def test_small_shapes_meet_the_tolerance(self):
+        # the drop of (1 - t)^(b - 1) sits within about 1/c of the upper limit
+        # of the half piece; unsplit, the 20-point panels never sampled it,
+        # and B(a, a) came out a ln 2 low (6.9e-7 at a = 1e-6)
+        rng = np.random.default_rng(14)
+        for a in 10.0 ** rng.uniform(-8.0, -3.0, 24):
+            dist = BetaPairDistribution.symmetric(float(a))
+            split = q_split_numeric(dist, tol=1e-10)
+            assert pdf_normalization(dist, tol=1e-10) == pytest.approx(1.0, abs=1e-10)
+            assert (split.q_plus, split.q_minus) == pytest.approx((0.25, -0.25), abs=1e-10)
+
+    @pytest.mark.parametrize("dist, bits", [
+        (BetaPairDistribution.symmetric(0.3), ("0x1.0000000000002p+0", "0x1.0000000000004p-2")),
+        (BetaPairDistribution.symmetric(2.5), ("0x1.fffffffffffbcp-1", "0x1.fffffffffffc8p-3")),
+        (BetaPairDistribution.symmetric(10.0), ("0x1.0000000000012p+0", "0x1.0000000000010p-2")),
+        (BetaPairDistribution(alpha=0.7, beta=3.1, mu=9.2, nu=0.45, lambda_plus=0.35, lambda_minus=0.65),
+         ("0x1.ffffffffffff4p-1", "0x1.08158ed230805p-4")),
+    ])
+    def test_shapes_of_the_workloads_keep_their_bits(self, dist, bits):
+        # every shape in 0.3-10, which ``verify`` and the benchmark draw,
+        # integrates its half pieces unsplit
+        assert (pdf_normalization(dist).hex(), q_split_numeric(dist).q_plus.hex()) == bits
+
+
 class TestZeroMean:
     def test_uniform(self):
         assert zero_mean_residual(BetaPairDistribution.uniform()) == 0.0
