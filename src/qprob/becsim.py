@@ -27,7 +27,13 @@ by sigma dW.  A noisy step applies that rotation and then one classical
 RK4 step of the flow, the same RK4 step that integrates the noiseless
 curve.  The integrated state (u, v, s) is also the output: a noiseless
 trajectory is returned as (u, v, s), whose continuous phase is
-unwrap(arctan2(v, u)), and an ensemble reduces s alone.
+unwrap(arctan2(v, u)), and an ensemble reduces s alone.  The ensemble's
+lanes step (-u, v, s), in which every sign of the flow sits inside a
+product; negation is exact, so a lane holds the bits of (u, v, s) with u
+negated.  The rotation's cosine and sine come from Taylor polynomials of
+degree 8 and 9 where a 64-path group's block of noise angles stays within
+|sigma dW| <= 0.1, where they lie within one ulp of np.cos and np.sin,
+and from np.cos and np.sin elsewhere.
 
 Noisy paths draw their noise in groups of 64: the stream of group g is
 keyed by (seed, g), and path i reads column i % 64 of group i // 64, so a
@@ -334,10 +340,14 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     a rotation of (u, v) by the step's noise angle; then one classical RK4
     step of the Bloch drift, in the operation order of
     :func:`integrate_deterministic`, so a lane without noise reproduces it
-    bit for bit.  Lanes never mix, so a path gives the same bits in any
-    range.  Returns the per-step mean and centred sum of squares of s over
-    the lanes and the largest norm drift |u^2 + v^2 + s^2 - 1| at the end
-    of any noise block.  A state that turns non-finite raises
+    bit for bit.  The lanes hold U = -u in place of u.  The noise angles of
+    each 512-step block take their cosines and sines from
+    :func:`_small_angle_cos_sin` where the block of their 64-path group stays
+    within :data:`SMALL_ANGLE`, and from np.cos and np.sin where it does not;
+    the choice is the group's, so lanes never mix and a path gives the same
+    bits in any range.  Returns the per-step mean and centred sum of squares
+    of s over the lanes and the largest norm drift |u^2 + v^2 + s^2 - 1| at
+    the end of any noise block.  A state that turns non-finite raises
     :class:`StepRejected`.
     """
     n = params.n_steps
@@ -358,7 +368,8 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     # arrays start 640 bytes apart modulo 4 KiB: at widths that are a
     # multiple of 512 they would otherwise share their low 12 address bits,
     # and a load that matches an earlier store in those bits waits for it
-    # (4K aliasing), which cost 10 % of the kernel at 1024 lanes.
+    # (4K aliasing), which cost 10 % of the kernel at 1024 lanes on an
+    # x86-64 host.
     pitch = 3 * width + (80 - 3 * width) % 512
     arena = np.empty(6 * pitch)
     y, stage, k1, k2, k3, k4 = (arena[i * pitch:i * pitch + 3 * width].reshape(3, width) for i in range(6))
@@ -412,8 +423,8 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
                 np.sin(angles, angles)
             else:
                 # The polynomials run on contiguous tiles of the whole padded
-                # block, which beats the strided lane view even where most
-                # of a group is padding; any large group is then redone.
+                # block: padding included, that beat them on the strided
+                # lane view at 200 lanes.  Any large group is then redone.
                 outliers = normals[:, large] * sig_sqdt
                 flat_angles, flat_cos = sin_block[:block].reshape(-1), cos_block[:block].reshape(-1)
                 for lo in range(0, flat_angles.size, _ANGLE_TILE):
