@@ -159,24 +159,29 @@ def test_energy_is_conserved_symbolically():
 
 
 #: SHA-256 of (mean, m2, drift) from ``_bloch_lanes`` over 700 steps (one
-#: full and one partial noise block), by (sigma, b, width).  Widths 63 and 65
-#: sit either side of a noise group.  At sigma = 0.1 and 0.6 every noise
-#: block takes the small-angle polynomials; at 0.6 enough of their values
-#: differ from np.cos and np.sin that the rows at widths 200 and 1024, and at
-#: 65 for b = 0.25, move if the route does.  At 1.5 every noise block
-#: exceeds SMALL_ANGLE and takes np.cos and np.sin.  With CURVE_BITS they
-#: pin both integrators' bits: a change that moves one needs a new KERNEL.
+#: full and one partial noise block) at sigma = 0.1, by (b, width).  Widths
+#: 63 and 65 sit either side of a noise group.  With ANGLE_BITS and
+#: CURVE_BITS they pin both integrators' bits: a change that moves one needs
+#: a new KERNEL.
 LANE_BITS = {
-    (0.1, 0.25, 1): "4faef19fe7d297e295362c4cd0da5d39cde648856c43b1de12620c476d73cea4",
-    (0.1, 0.25, 63): "2f40be7c8026f2ea1daaab5127c6e6ef16a574f7c4d0825a11a7d60a1a70eb24",
-    (0.1, 0.25, 65): "80651161584b17509201f2cae1ffe3fe5c06e67e0a61d839d46c18786a69fc25",
-    (0.1, 0.25, 200): "7c30118921e540446bfa005001ff47ea7880504023043aadf08f77105522f988",
-    (0.1, 0.25, 1024): "623d2154efe749044b035c01422105b72239bfcf7d777bbc7839260982f3f013",
-    (0.1, 0.5, 1): "0c70b5df75ecc2e8bd9d41b2eff43e1a40a1f12d6c336bfaaac0c5d8edf361de",
-    (0.1, 0.5, 63): "c8844ca9893fe5e67f4829f83f83fc5253b067763ff6ce5ccabca7fb20b2d762",
-    (0.1, 0.5, 65): "c3d8feb3da6361b1f5c029d690e83c6ebacc33c09005e5a8177ebadbcd4a5f47",
-    (0.1, 0.5, 200): "401be161fecaf37cfceb70b3f52bea1ca9a4c7a5a2194bf1d130c8d4533add2a",
-    (0.1, 0.5, 1024): "704e5e498f2d19b87b9acafa37837106a614eca967a62392f827c36256a032a5",
+    (0.25, 1): "4faef19fe7d297e295362c4cd0da5d39cde648856c43b1de12620c476d73cea4",
+    (0.25, 63): "2f40be7c8026f2ea1daaab5127c6e6ef16a574f7c4d0825a11a7d60a1a70eb24",
+    (0.25, 65): "80651161584b17509201f2cae1ffe3fe5c06e67e0a61d839d46c18786a69fc25",
+    (0.25, 200): "7c30118921e540446bfa005001ff47ea7880504023043aadf08f77105522f988",
+    (0.25, 1024): "623d2154efe749044b035c01422105b72239bfcf7d777bbc7839260982f3f013",
+    (0.5, 1): "0c70b5df75ecc2e8bd9d41b2eff43e1a40a1f12d6c336bfaaac0c5d8edf361de",
+    (0.5, 63): "c8844ca9893fe5e67f4829f83f83fc5253b067763ff6ce5ccabca7fb20b2d762",
+    (0.5, 65): "c3d8feb3da6361b1f5c029d690e83c6ebacc33c09005e5a8177ebadbcd4a5f47",
+    (0.5, 200): "401be161fecaf37cfceb70b3f52bea1ca9a4c7a5a2194bf1d130c8d4533add2a",
+    (0.5, 1024): "704e5e498f2d19b87b9acafa37837106a614eca967a62392f827c36256a032a5",
+}
+
+#: The same digest at larger noise angles, by (sigma, b, width).  At
+#: sigma = 0.6 every noise block still takes the small-angle polynomials,
+#: and enough of their values differ from np.cos and np.sin that the rows at
+#: widths 200 and 1024, and at 65 for b = 0.25, move if the route does.  At
+#: 1.5 every noise block exceeds SMALL_ANGLE and takes np.cos and np.sin.
+ANGLE_BITS = {
     (0.6, 0.25, 65): "0b19511a2c2ebb6c672694ed5738c778624a2e2abd8421d3b64e3aab79f077a5",
     (0.6, 0.25, 200): "eb2b2ed9e682d87d27e6f822109a3d22696c51af0d6596eb79b3aab25335101d",
     (0.6, 0.25, 1024): "2c516de0e837c165e7c311913491263fb88fb72863d71503fd7cbd7f20b3e7b7",
@@ -205,14 +210,21 @@ GOLDEN_KERNEL = (
 )
 
 
+def lanes_digest(sigma, b, width):
+    params = BecParams(b=b, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=max(width, 2), seed=5)
+    assert params.n_steps == 700
+    mean, m2, drift = becsim._bloch_lanes(params, 0, width)
+    return hashlib.sha256(mean.tobytes() + m2.tobytes() + np.float64(drift).tobytes()).hexdigest()
+
+
 class TestGoldenBits:
-    @pytest.mark.parametrize("sigma, b, width", sorted(LANE_BITS))
-    def test_lanes(self, sigma, b, width):
-        params = BecParams(b=b, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=max(width, 2), seed=5)
-        assert params.n_steps == 700
-        mean, m2, drift = becsim._bloch_lanes(params, 0, width)
-        digest = hashlib.sha256(mean.tobytes() + m2.tobytes() + np.float64(drift).tobytes()).hexdigest()
-        assert (becsim.KERNEL, digest) == (GOLDEN_KERNEL, LANE_BITS[sigma, b, width])
+    @pytest.mark.parametrize("b, width", sorted(LANE_BITS))
+    def test_lanes(self, b, width):
+        assert (becsim.KERNEL, lanes_digest(0.1, b, width)) == (GOLDEN_KERNEL, LANE_BITS[b, width])
+
+    @pytest.mark.parametrize("sigma, b, width", sorted(ANGLE_BITS))
+    def test_lanes_at_larger_angles(self, sigma, b, width):
+        assert (becsim.KERNEL, lanes_digest(sigma, b, width)) == (GOLDEN_KERNEL, ANGLE_BITS[sigma, b, width])
 
     @pytest.mark.parametrize("b, x0", sorted(CURVE_BITS))
     def test_noiseless_curve(self, b, x0):
