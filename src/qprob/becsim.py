@@ -31,9 +31,9 @@ unwrap(arctan2(v, u)), and an ensemble reduces s alone.  The ensemble's
 lanes step (-u, v, s), in which every sign of the flow sits inside a
 product; negation is exact, so a lane holds the bits of (u, v, s) with u
 negated.  The rotation's cosine and sine come from Taylor polynomials of
-degree 8 and 9 where a 64-path group's block of noise angles stays within
-|sigma dW| <= 0.1, where they lie within one ulp of np.cos and np.sin,
-and from np.cos and np.sin elsewhere.
+degree 8 and 9, within one ulp of np.cos and np.sin, where a 64-path
+group's block of noise angles stays within |sigma dW| <= 0.1, and from
+np.cos and np.sin elsewhere.
 
 Noisy paths draw their noise in groups of 64: the stream of group g is
 keyed by (seed, g), and path i reads column i % 64 of group i // 64, so a

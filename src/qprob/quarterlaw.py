@@ -31,12 +31,12 @@ _PANEL_BUDGET = 1000
 
 
 #: Largest c of the substitution t = u^c integrated without a split: every
-#: shape from 0.001 up.  At c = 1e4 (shape 1e-4) the unsplit rule missed
-#: B(a, a) by 1.5e-9 relative; the 0.3-10 shapes of ``verify`` and the
-#: benchmark stay below c = 24.
+#: shape from 0.001 up.  At c = 1e4 the unsplit rule put q_plus of
+#: ``symmetric(1e-4)`` 1.5e-9 off 1/4; the 0.3-10 shapes of ``verify`` and
+#: the benchmark stay below c = 24.
 _EDGE_C = 1000.0
 
-#: Where the half piece is split above _EDGE_C: 1 - t rounds to 1 below it.
+#: Where the half piece is split above _EDGE_C: below it 1 - t rounds to 1.
 _EDGE_T = 0.5 * math.exp(-40.0)
 
 
