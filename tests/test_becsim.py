@@ -49,7 +49,7 @@ def replay_lanes(params, lo, hi, route):
         for j, (theta, small) in enumerate(zip(blocks, route(blocks))):
             cols = slice(j * lanes, (j + 1) * lanes)
             if small:
-                cos_theta, sin_theta = np.empty_like(theta), theta.copy()
+                cos_theta, sin_theta = np.empty_like(theta), theta
                 becsim._small_angle_cos_sin(sin_theta, cos_theta, np.empty_like(theta))
             else:
                 cos_theta, sin_theta = np.cos(theta), np.sin(theta)
