@@ -415,25 +415,20 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             large = np.maximum(extremes.max(axis=1), -extremes.min(axis=1)) * sig_sqdt > SMALL_ANGLE
             normals = sin_block[:block].reshape(block, groups, GROUP_LANES)
             np.copyto(normals, draws.transpose(1, 0, 2))
+            # The polynomials run on contiguous tiles of the whole padded
+            # block: padding included, that beat them on the strided lane
+            # view at 200 lanes.  Any large group is then redone.
+            outliers = normals[:, large] * sig_sqdt
+            flat_angles, flat_cos = sin_block[:block].reshape(-1), cos_block[:block].reshape(-1)
+            for lo in range(0, flat_angles.size, _ANGLE_TILE):
+                tile = flat_angles[lo:lo + _ANGLE_TILE]
+                tile *= sig_sqdt
+                _small_angle_cos_sin(tile, flat_cos[lo:lo + _ANGLE_TILE], scratch[:tile.size])
+            if outliers.size:
+                cos_block[:block].reshape(block, groups, GROUP_LANES)[:, large] = np.cos(outliers)
+                normals[:, large] = np.sin(outliers)
             angles = sin_block[:block, offset:offset + width]
             spent = cos_block[:block, offset:offset + width]
-            if large.all():
-                angles *= sig_sqdt
-                np.cos(angles, spent)
-                np.sin(angles, angles)
-            else:
-                # The polynomials run on contiguous tiles of the whole padded
-                # block: padding included, that beat them on the strided
-                # lane view at 200 lanes.  Any large group is then redone.
-                outliers = normals[:, large] * sig_sqdt
-                flat_angles, flat_cos = sin_block[:block].reshape(-1), cos_block[:block].reshape(-1)
-                for lo in range(0, flat_angles.size, _ANGLE_TILE):
-                    tile = flat_angles[lo:lo + _ANGLE_TILE]
-                    tile *= sig_sqdt
-                    _small_angle_cos_sin(tile, flat_cos[lo:lo + _ANGLE_TILE], scratch[:tile.size])
-                if outliers.size:
-                    cos_block[:block].reshape(block, groups, GROUP_LANES)[:, large] = np.cos(outliers)
-                    normals[:, large] = np.sin(outliers)
             for cos_t, sin_t in zip(spent, angles):
                 # (U, v) -> (U cos + v sin, v cos - U sin), the rotation of
                 # (u, v) by the noise angle
