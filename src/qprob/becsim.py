@@ -30,10 +30,9 @@ trajectory is returned as (u, v, s), whose continuous phase is
 unwrap(arctan2(v, u)), and an ensemble reduces s alone.  The ensemble's
 lanes step (-u, v, s), in which every sign of the flow sits inside a
 product; negation is exact, so a lane holds the bits of (u, v, s) with u
-negated.  The rotation's cosine and sine come from Taylor polynomials of
-degree 8 and 9, within one ulp of np.cos and np.sin, where a 64-path
-group's block of noise angles stays within |sigma dW| <= 0.1, and from
-np.cos and np.sin elsewhere.
+negated.  Each noise angle takes its cosine and sine from Taylor
+polynomials of degree 8 and 9, within one ulp of np.cos and np.sin, where
+|sigma dW| <= 0.1, and from np.cos and np.sin where it is larger.
 
 Noisy paths draw their noise in groups of 64: the stream of group g is
 keyed by (seed, g), and path i reads column i % 64 of group i // 64, so a
@@ -83,9 +82,9 @@ CRITICAL_DENOMINATOR_TOL = 1e-12
 #: A pumping amplitude this close to the critical one is classed as critical.
 REGIME_TOL = 1e-9
 
-#: Largest noise angle |sigma dW| whose cosine and sine may come from
-#: Taylor polynomials: at 0.1 the first omitted terms, 0.1^10/10! and
-#: 0.1^11/11!, lie below a quarter of an ulp.
+#: Largest noise angle |sigma dW| whose cosine and sine come from Taylor
+#: polynomials; a larger one takes np.cos and np.sin.  At 0.1 the first
+#: omitted terms, 0.1^10/10! and 0.1^11/11!, lie below a quarter of an ulp.
 SMALL_ANGLE = 0.1
 
 #: Coefficients of z^4 ... z of cos and of z^4 ... z of (sin(a) - a)/a,
@@ -93,14 +92,14 @@ SMALL_ANGLE = 0.1
 _COS_TAYLOR = (1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -0.5)
 _SIN_TAYLOR = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
 
-#: Noise angles per polynomial tile: one group's noise block, 256 KiB.
+#: Noise angles per polynomial tile: 256 KiB, a cache-sized tile.
 _ANGLE_TILE = _NOISE_BLOCK * GROUP_LANES
 
 #: The scheme of every noisy path, as named in reports.
 KERNEL = (
-    "bloch-lie-rk4/sfc64-groups/taylor-small-angles: exact (u, v) rotation by sigma dW, then classical RK4 "
+    "bloch-lie-rk4/sfc64-groups/taylor-per-angle: exact (u, v) rotation by sigma dW, then classical RK4 "
     "of the Bloch drift; dW from one SFC64 stream per 64-path group; the rotation's cosine and sine from "
-    "degree-8 and degree-9 Taylor polynomials where a group's noise block has |sigma dW| <= 0.1"
+    "degree-8 and degree-9 Taylor polynomials where |sigma dW| <= 0.1, and from libm where it is larger"
 )
 
 
@@ -340,14 +339,13 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
     a rotation of (u, v) by the step's noise angle; then one classical RK4
     step of the Bloch drift, in the operation order of
     :func:`integrate_deterministic`, so a lane without noise reproduces it
-    bit for bit.  The lanes hold U = -u in place of u.  The noise angles of
-    each 512-step block take their cosines and sines from
-    :func:`_small_angle_cos_sin` where the block of their 64-path group stays
-    within :data:`SMALL_ANGLE`, and from np.cos and np.sin where it does not;
-    the choice is the group's, so lanes never mix and a path gives the same
-    bits in any range.  Returns the per-step mean and centred sum of squares
-    of s over the lanes and the largest norm drift |u^2 + v^2 + s^2 - 1| at
-    the end of any noise block.  A state that turns non-finite raises
+    bit for bit.  The lanes hold U = -u in place of u.  A noise angle takes
+    its cosine and sine from :func:`_small_angle_cos_sin` where it is within
+    :data:`SMALL_ANGLE` and from np.cos and np.sin where it is not; the rule
+    looks at the angle alone, so a path gives the same bits in any range.
+    Returns the per-step mean and centred sum of squares of s over the
+    lanes and the largest norm drift |u^2 + v^2 + s^2 - 1| at the end of
+    any noise block.  A state that turns non-finite raises
     :class:`StepRejected`.
     """
     n = params.n_steps
@@ -409,24 +407,21 @@ def _bloch_lanes(params: BecParams, path_lo: int, path_hi: int):
             draws = cos_block[:block].reshape(groups, block, GROUP_LANES)
             for gen, slab in zip(generators, draws):
                 gen.standard_normal(out=slab)
-            # A group's largest |angle| picks the route of all its cosines
-            # and sines, so a path takes the same route in any range.
-            extremes = draws.reshape(groups, -1)
-            large = np.maximum(extremes.max(axis=1), -extremes.min(axis=1)) * sig_sqdt > SMALL_ANGLE
-            normals = sin_block[:block].reshape(block, groups, GROUP_LANES)
-            np.copyto(normals, draws.transpose(1, 0, 2))
+            np.copyto(sin_block[:block].reshape(block, groups, GROUP_LANES), draws.transpose(1, 0, 2))
             # The polynomials run on contiguous tiles of the whole padded
             # block: padding included, that beat them on the strided lane
-            # view at 200 lanes.  Any large group is then redone.
-            outliers = normals[:, large] * sig_sqdt
+            # view at 200 lanes.  A tile's angles above SMALL_ANGLE are
+            # gathered first and written back from np.cos and np.sin.
             flat_angles, flat_cos = sin_block[:block].reshape(-1), cos_block[:block].reshape(-1)
             for lo in range(0, flat_angles.size, _ANGLE_TILE):
-                tile = flat_angles[lo:lo + _ANGLE_TILE]
+                tile, tile_cos = flat_angles[lo:lo + _ANGLE_TILE], flat_cos[lo:lo + _ANGLE_TILE]
+                z = scratch[:tile.size]
                 tile *= sig_sqdt
-                _small_angle_cos_sin(tile, flat_cos[lo:lo + _ANGLE_TILE], scratch[:tile.size])
-            if outliers.size:
-                cos_block[:block].reshape(block, groups, GROUP_LANES)[:, large] = np.cos(outliers)
-                normals[:, large] = np.sin(outliers)
+                large = np.flatnonzero(np.abs(tile, out=z) > SMALL_ANGLE)
+                outliers = tile[large]
+                _small_angle_cos_sin(tile, tile_cos, z)
+                tile_cos[large] = np.cos(outliers)
+                tile[large] = np.sin(outliers)
             angles = sin_block[:block, offset:offset + width]
             spent = cos_block[:block, offset:offset + width]
             for cos_t, sin_t in zip(spent, angles):

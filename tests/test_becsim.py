@@ -27,41 +27,33 @@ def lane_s(params, path_index):
     return becsim._bloch_lanes(params, path_index, path_index + 1)[0]
 
 
-def replay_lanes(params, lo, hi, route):
+def replay_lanes(params, lo, hi, limit=becsim.SMALL_ANGLE):
     """Oracle: the lanes [lo, hi) stepped one expression at a time in (u, v, s),
     with the signs and operation order of :func:`integrate_deterministic`.
 
-    ``route(blocks)`` gets the noise angles of one noise block, one
-    (steps, GROUP_LANES) array per group, and says for each group whether
-    its cosines and sines come from the small-angle polynomials (True) or
-    from np.cos and np.sin (False).  Returns the per-step mean of s, as the
-    kernel reduces it.
+    A noise angle takes its cosine and sine from the small-angle polynomials
+    where |angle| <= ``limit`` and from np.cos and np.sin elsewhere, so a
+    negative ``limit`` sends every angle to np.cos and np.sin.  Returns the
+    per-step mean of s, as the kernel reduces it, with s0 at step 0.
     """
     n, b, dt, lanes = params.n_steps, params.b, params.dt, becsim.GROUP_LANES
     half, sixth = 0.5 * dt, dt / 6.0
     first = lo // lanes
     streams = [group_noise_generator(params.seed, g) for g in range(first, -(-hi // lanes))]
-    angles = np.hstack([gen.standard_normal((n, lanes)) for gen in streams]) * (params.sigma * math.sqrt(dt))
-    cos, sin = np.empty_like(angles), np.empty_like(angles)
-    for k in range(0, n, becsim._NOISE_BLOCK):
-        steps = slice(k, k + becsim._NOISE_BLOCK)
-        blocks = [angles[steps, j * lanes:(j + 1) * lanes].copy() for j in range(len(streams))]
-        for j, (theta, small) in enumerate(zip(blocks, route(blocks))):
-            cols = slice(j * lanes, (j + 1) * lanes)
-            if small:
-                cos_theta, sin_theta = np.empty_like(theta), theta
-                becsim._small_angle_cos_sin(sin_theta, cos_theta, np.empty_like(theta))
-            else:
-                cos_theta, sin_theta = np.cos(theta), np.sin(theta)
-            cos[steps, cols], sin[steps, cols] = cos_theta, sin_theta
     cols = slice(lo - first * lanes, hi - first * lanes)
+    angles = np.hstack([gen.standard_normal((n, lanes)) for gen in streams])[:, cols] * (params.sigma * math.sqrt(dt))
+    cos, sin = np.cos(angles), np.sin(angles)
+    small = np.abs(angles) <= limit
+    small_sin = angles[small]
+    small_cos = np.empty_like(small_sin)
+    becsim._small_angle_cos_sin(small_sin, small_cos, np.empty_like(small_sin))
+    cos[small], sin[small] = small_cos, small_sin
     r = math.sqrt(1.0 - params.s0 * params.s0)
     width = hi - lo
     u, v, s = np.full(width, r * math.cos(params.x0)), np.full(width, r * math.sin(params.x0)), np.full(width, params.s0)
-    paths = np.empty((n + 1, width))
-    paths[0] = s
+    paths = np.empty((n, width))
     for k in range(n):
-        c, sn = cos[k, cols], sin[k, cols]
+        c, sn = cos[k], sin[k]
         u, v = u * c - v * sn, v * c + u * sn
         k1u, k1v, k1s = s * v, s * (u + b), b * v
         u2, v2, s2 = u - half * k1u, v + half * k1v, s - half * k1s
@@ -72,14 +64,8 @@ def replay_lanes(params, lo, hi, route):
         u = u - sixth * (k1u + 2.0 * (k2u + k3u) + s4 * v4)
         v = v + sixth * (k1v + 2.0 * (k2v + k3v) + s4 * (u4 + b))
         s = s - sixth * (k1s + 2.0 * (k2s + k3s) + b * v4)
-        paths[k + 1] = s
-    return np.add.reduce(paths, axis=1) / width
-
-
-def by_group(blocks):
-    """The kernel's route: a group's noise block is small where its largest
-    |angle| is at most SMALL_ANGLE."""
-    return [float(np.max(np.abs(theta))) <= becsim.SMALL_ANGLE for theta in blocks]
+        paths[k] = s
+    return np.concatenate(([params.s0], np.add.reduce(paths, axis=1) / width))
 
 
 def polar_rk4(params):
@@ -177,10 +163,11 @@ LANE_BITS = {
 }
 
 #: The same digest at larger noise angles, by (sigma, b, width).  At
-#: sigma = 0.6 every noise block still takes the small-angle polynomials,
-#: and enough of their values differ from np.cos and np.sin that the rows at
-#: widths 200 and 1024, and at 65 for b = 0.25, move if the route does.  At
-#: 1.5 every noise block exceeds SMALL_ANGLE and takes np.cos and np.sin.
+#: sigma = 0.6 every angle stays within SMALL_ANGLE and takes the small-angle
+#: polynomials, and enough of their values differ from np.cos and np.sin
+#: that every row but (0.6, 0.5, 65) moves if they take libm instead.  At
+#: 1.5 about 3.5 % of the angles exceed SMALL_ANGLE and take np.cos and
+#: np.sin.
 ANGLE_BITS = {
     (0.6, 0.25, 65): "0b19511a2c2ebb6c672694ed5738c778624a2e2abd8421d3b64e3aab79f077a5",
     (0.6, 0.25, 200): "eb2b2ed9e682d87d27e6f822109a3d22696c51af0d6596eb79b3aab25335101d",
@@ -189,9 +176,9 @@ ANGLE_BITS = {
     (0.6, 0.5, 200): "2bdd3e7348f559ebc37540c811b7249d930be6e3dc8a1797c0af1c5372e39828",
     (0.6, 0.5, 1024): "9d18882d7d0ebba695f83f566f06d681c2d48c85e6f6bec07c99605e3b6182e8",
     (1.5, 0.25, 1): "76463aaa3ecca904e1cca4bb2038aaa9e041fa11b871ae5356754bba00c194fe",
-    (1.5, 0.25, 200): "df84ad41dc0f75aa2046ccf1ab740ff55266472f039a4eb8789a698ed62a2bc6",
-    (1.5, 0.5, 1): "6aba2ac2f0759f91fe0a43642328e936dad97ab81b28eeb1e2964aaeef95fac4",
-    (1.5, 0.5, 200): "c4da2c17437bb0581193ebeca457f3d4430f777f6bba056da2e4878c937ed5c8",
+    (1.5, 0.25, 200): "ee4bf3080e524af3d931bc15a7db50ad58be1406b37390d3f676562da7bf2e25",
+    (1.5, 0.5, 1): "21e420fd33ab91acf0564e2759d829c28902b2bcd9e7a0fe04ca06a3f466ce7b",
+    (1.5, 0.5, 200): "d2b5b265fefe46062a08ea3995ed827eb19c756a9a5240358e806c9581c0f5b8",
 }
 
 #: SHA-256 of (u, v, s) from ``integrate_deterministic`` over t = 20, by (b, x0).
@@ -204,9 +191,9 @@ CURVE_BITS = {
 
 #: The scheme these bits belong to.
 GOLDEN_KERNEL = (
-    "bloch-lie-rk4/sfc64-groups/taylor-small-angles: exact (u, v) rotation by sigma dW, then classical RK4 "
+    "bloch-lie-rk4/sfc64-groups/taylor-per-angle: exact (u, v) rotation by sigma dW, then classical RK4 "
     "of the Bloch drift; dW from one SFC64 stream per 64-path group; the rotation's cosine and sine from "
-    "degree-8 and degree-9 Taylor polynomials where a group's noise block has |sigma dW| <= 0.1"
+    "degree-8 and degree-9 Taylor polynomials where |sigma dW| <= 0.1, and from libm where it is larger"
 )
 
 
@@ -245,32 +232,23 @@ class TestSmallAngles:
         becsim._small_angle_cos_sin(at_zero, cos0, np.empty(3))
         assert np.all(cos0 == 1.0) and np.all(at_zero == 0.0)
 
-    @pytest.mark.parametrize("sigma, lo, hi", [(0.6, 0, 200), (5.0, 3, 4)])
-    def test_route_follows_the_largest_angle(self, sigma, lo, hi):
-        # at sigma = 0.6 every noise block is small and takes the
-        # polynomials; at 5 every one is large and takes np.cos and np.sin,
-        # here on one lane, replayed alone
-        params = BecParams(b=0.25, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=hi, seed=5)
+    @pytest.mark.parametrize("sigma, b, lo, hi, other", [
+        (0.6, 0.25, 0, 200, None),
+        (1.5, 0.25, 0, 200, -1.0),
+        (1.5, 0.5, 37, 237, -1.0),
+        (5.0, 0.25, 3, 4, math.inf),
+    ])
+    def test_each_angle_takes_its_own_route(self, sigma, b, lo, hi, other):
+        # an angle takes the polynomials where |angle| <= SMALL_ANGLE and
+        # np.cos and np.sin elsewhere, whatever the other angles of its block;
+        # ``other`` is the limit of a replay whose route the kernel must not
+        # match (-1: every angle through libm; inf: through the polynomials).
+        # At 0.6 the mean of s is the same on either route.
+        params = BecParams(b=b, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=hi, seed=5)
         mean = becsim._bloch_lanes(params, lo, hi)[0]
-        small = sigma < 1.0
-        assert np.array_equal(mean[1:], replay_lanes(params, lo, hi, by_group)[1:])
-        assert np.array_equal(mean[1:], replay_lanes(params, lo, hi, lambda blocks: [small] * len(blocks))[1:])
-        assert not np.array_equal(mean, replay_lanes(params, lo, hi, lambda blocks: [not small] * len(blocks)))
-
-    def test_each_group_keeps_its_route_in_a_mixed_block(self):
-        # seed 7, sigma 0.7: group 0's first noise block exceeds SMALL_ANGLE
-        # and group 1's does not, so its lanes keep the polynomials that a
-        # range of group 1 alone gives them
-        params = BecParams(b=0.25, sigma=0.7, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.7, n_paths=128, seed=7)
-        peaks = [
-            float(np.max(np.abs(group_noise_generator(7, g).standard_normal((512, 64))))) * 0.7 * math.sqrt(1e-3)
-            for g in (0, 1)
-        ]
-        assert peaks[0] > becsim.SMALL_ANGLE >= peaks[1]
-        mean = becsim._bloch_lanes(params, 0, 128)[0]
-        assert np.array_equal(mean[1:], replay_lanes(params, 0, 128, by_group)[1:])
-        whole_block = replay_lanes(params, 0, 128, lambda blocks: [all(by_group(blocks))] * len(blocks))
-        assert not np.array_equal(mean, whole_block)
+        assert np.array_equal(mean, replay_lanes(params, lo, hi))
+        if other is not None:
+            assert not np.array_equal(mean, replay_lanes(params, lo, hi, limit=other))
 
 
 class TestParams:
@@ -452,14 +430,16 @@ class TestStochastic:
 
     def test_unaligned_range_is_the_mean_of_its_lone_lanes(self):
         # [37, 237) starts and ends inside a noise group and runs two noise
-        # blocks, so each lane reads its own column at an offset and a pad
-        params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.6, n_paths=237, seed=5)
-        mean, m2, drift = becsim._bloch_lanes(params, 37, 237)
-        lone = [becsim._bloch_lanes(params, i, i + 1) for i in range(37, 237)]
-        paths = np.array([s for s, _, _ in lone])
-        assert np.max(np.abs(mean - paths.mean(axis=0))) < 1e-14
-        assert np.allclose(m2, ((paths - paths.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-10, atol=1e-15)
-        assert drift == max(d for _, _, d in lone)
+        # blocks, so each lane reads its own column at an offset and a pad;
+        # at sigma = 1.5 every block also has angles that take np.cos and np.sin
+        for sigma in (0.1, 1.5):
+            params = BecParams(b=0.25, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.6, n_paths=237, seed=5)
+            mean, m2, drift = becsim._bloch_lanes(params, 37, 237)
+            lone = [becsim._bloch_lanes(params, i, i + 1) for i in range(37, 237)]
+            paths = np.array([s for s, _, _ in lone])
+            assert np.max(np.abs(mean - paths.mean(axis=0))) < 1e-14
+            assert np.allclose(m2, ((paths - paths.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-10, atol=1e-15)
+            assert drift == max(d for _, _, d in lone)
 
     def test_traced_peak_is_the_two_noise_blocks(self):
         # two 4 MiB noise blocks (512 steps by 1024 lanes) and 1.5 MiB besides:
@@ -514,13 +494,15 @@ class TestEnsemble:
 
     def test_worker_count_does_not_change_results(self):
         # 2100 paths span three fixed chunks (1024, 1024, 52): two chunks merge
-        # to the same bits in either order, three need the fixed order
-        params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=2100, seed=11)
-        serial = ensemble_interference(params, workers=1)
-        parallel = ensemble_interference(params, workers=2)
-        assert np.array_equal(serial.p1, parallel.p1)
-        assert np.array_equal(serial.q1, parallel.q1)
-        assert np.array_equal(serial.std_err1, parallel.std_err1)
+        # to the same bits in either order, three need the fixed order; at
+        # sigma = 1.5 some angles of every noise block take np.cos and np.sin
+        for sigma in (0.1, 1.5):
+            params = BecParams(b=0.25, sigma=sigma, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=2100, seed=11)
+            serial = ensemble_interference(params, workers=1)
+            parallel = ensemble_interference(params, workers=2)
+            assert np.array_equal(serial.p1, parallel.p1)
+            assert np.array_equal(serial.q1, parallel.q1)
+            assert np.array_equal(serial.std_err1, parallel.std_err1)
 
     def test_single_path_matches_ensemble_member(self):
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=3, seed=8)
