@@ -15,7 +15,6 @@ from .becsim import (
     critical_amplitude,
     ensemble_interference,
     integrate_deterministic,
-    regime_classify,
 )
 from .events import (
     DensityOperator,
@@ -107,7 +106,6 @@ __all__ = [
     "proposition_operator",
     "q_split_closed",
     "q_split_numeric",
-    "regime_classify",
     "standard_union_probability",
     "trace",
     "uncertain_probability",

@@ -120,6 +120,8 @@ class Regime(Enum):
     @classmethod
     def of(cls, b: float, critical: float) -> Regime:
         """Which side of the critical amplitude ``critical`` the pumping ``b`` lies on."""
+        if not (math.isfinite(b) and math.isfinite(critical)):
+            raise ValueError(f"pumping and critical amplitudes must be finite, got b={b!r}, critical={critical!r}")
         if b < critical - REGIME_TOL:
             return cls.RABI
         if b > critical + REGIME_TOL:
@@ -223,19 +225,12 @@ def critical_amplitude(s0: float, x0: float) -> float:
         raise ValueError(f"initial state must be finite, got s0={s0!r}, x0={x0!r}")
     if abs(s0) > 1.0:
         raise ValueError(f"initial imbalance must satisfy |s0| <= 1, got {s0!r}")
-    denominator = 2.0 * (1.0 + math.sqrt(max(0.0, 1.0 - s0 * s0)) * math.cos(x0))
+    denominator = 2.0 * (1.0 + math.sqrt(1.0 - s0 * s0) * math.cos(x0))
     if denominator <= CRITICAL_DENOMINATOR_TOL:
         raise DenominatorVanishes(
             f"critical amplitude undefined: denominator {denominator:.3e} at s0={s0}, x0={x0}"
         )
     return s0 * s0 / denominator
-
-
-def regime_classify(b: float, s0: float, x0: float) -> Regime:
-    """Which side of the critical amplitude the pumping lies on."""
-    if not math.isfinite(b):
-        raise ValueError(f"pumping amplitude must be finite, got {b!r}")
-    return Regime.of(b, critical_amplitude(s0, x0))
 
 
 def hamiltonian(s, u, b: float):

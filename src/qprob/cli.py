@@ -39,16 +39,12 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _env_int(name: str, default: str) -> int:
-    raw = os.environ.get(name, default)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _env_workers() -> int:
-    workers = _env_int("QPROB_THREADS", "1")
+    raw = os.environ.get("QPROB_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"QPROB_THREADS must be an integer, got {raw!r}") from exc
     if workers < 1:
         raise ValueError(f"QPROB_THREADS must be positive, got {workers}")
     return workers
@@ -81,8 +77,7 @@ _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str:
 
 
 def _effective_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
-    """Merge defaults < config file < given flags, check every value's type,
-    and take a null seed from ``QPROB_SEED``."""
+    """Merge defaults < config file < given flags and check every value's type."""
     options = _COMMANDS[command][2]
     config = {} if args.config is None else _read_json_object(args.config, "config")
     unknown = set(config) - {name for name, *_ in options}
@@ -96,8 +91,6 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
             expected = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else _TYPE_NAMES[kind]
             raise ValueError(f"{name} must be {expected}, got {value!r}")
         merged[name] = value
-    if "seed" in merged and merged["seed"] is None:
-        merged["seed"] = _env_int("QPROB_SEED", "0")
     return merged
 
 
@@ -386,7 +379,7 @@ _COMMANDS: dict[str, tuple[Any, str, tuple[tuple[str, Any, Any, str], ...]]] = {
     "measure": (_cmd_measure, "projective outcome probabilities of a state", (
         ("state", str, "maxmix", "diag:p1,p2,... | pure:c1,c2,... | file:PATH | maxmix | random"),
         ("dim", int, 2, "dimension for maxmix/random states"),
-        ("seed", int, None, "seed for the random state spec"),
+        ("seed", int, 0, "seed for the random state spec"),
         ("out", str, None, "write the JSON report here instead of stdout"),
     )),
     "prospect": (_cmd_prospect, "composite-event probability families p, f, q", (
@@ -395,7 +388,7 @@ _COMMANDS: dict[str, tuple[Any, str, tuple[tuple[str, Any, Any, str], ...]]] = {
         ("state-file", str, None, "composite state JSON for preset 'file'"),
         ("weights", str, None, "comma-separated complex amplitudes over the second factor"),
         ("strict", bool, False, "reject weights whose squared sum is not 1 instead of normalizing"),
-        ("seed", int, None, "seed for the product preset"),
+        ("seed", int, 0, "seed for the product preset"),
         ("out", str, None, "write the JSON report here instead of stdout"),
     )),
     "quarter-law": (_cmd_quarter_law, "tabulate interference-distribution moments", (
@@ -413,14 +406,14 @@ _COMMANDS: dict[str, tuple[Any, str, tuple[tuple[str, Any, Any, str], ...]]] = {
         ("tmax", float, 100.0, "horizon"),
         ("paths", int, 2000, "ensemble size"),
         ("stride", int, 100, "emit every stride-th step"),
-        ("seed", int, None, "seed of the noise stream"),
+        ("seed", int, 0, "seed of the noise stream"),
         ("out", str, None, "CSV output path (stdout otherwise)"),
         ("report", str, None, "JSON report path"),
         ("plot", bool, False, "emit an SVG of q1(t) next to the CSV"),
     )),
     "verify": (_cmd_verify, "run the library invariant suites", (
         ("filter", verify.GROUPS, None, "restrict to one check group"),
-        ("seed", int, None, "seed of the check streams"),
+        ("seed", int, 0, "seed of the check streams"),
         ("out", str, None, "JSON report path"),
         ("corrupt-state", bool, False, "test-only: inject a fault to exercise the failure path"),
     )),

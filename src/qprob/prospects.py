@@ -151,6 +151,7 @@ def prospect_probabilities(
 
 def product_state(rho_a: DensityOperator, rho_b: DensityOperator) -> CompositeState:
     """The disentangled product of two single-factor states."""
+    check_dim(rho_a.dim * rho_b.dim)
     return CompositeState(
         rho=DensityOperator(kron(rho_a.matrix, rho_b.matrix)),
         dim_a=rho_a.dim,

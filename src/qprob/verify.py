@@ -296,9 +296,10 @@ def _check_regime_dichotomy(rng: np.random.Generator, run: Run) -> tuple[bool, s
     sup, _ = run.curve(0.5, _DICHOTOMY_HORIZON)
     sub_stays_negative = bool(np.all(sub < 0.0))
     sup_crosses = bool(np.any(sup >= 0.0))
+    bc = becsim.critical_amplitude(-0.9, 0.0)
     labels_ok = (
-        becsim.regime_classify(0.25, -0.9, 0.0) is becsim.Regime.RABI
-        and becsim.regime_classify(0.5, -0.9, 0.0) is becsim.Regime.JOSEPHSON
+        becsim.Regime.of(0.25, bc) is becsim.Regime.RABI
+        and becsim.Regime.of(0.5, bc) is becsim.Regime.JOSEPHSON
     )
     return (
         sub_stays_negative and sup_crosses and labels_ok,

@@ -229,9 +229,10 @@ def test_criterion_9c_noise_strength_limit(acceptance, sigma_sweep):
 
 
 def test_criterion_10_verify_determinism(acceptance, tmp_path):
-    # A minimal env keeps a caller's QPROB_SEED / QPROB_THREADS out of the
-    # child; PYTHONPATH points at the very qprob this process imported, so
-    # the child runs the code under test whether it is installed or not.
+    # A minimal env keeps the caller's environment, QPROB_THREADS included,
+    # out of the child; PYTHONPATH points at the very qprob this process
+    # imported, so the child runs the code under test whether it is
+    # installed or not.
     # verify's 200-path ensemble is one chunk, so its run starts no pool; the
     # bec-sim run has two chunks of becsim.CHUNK_PATHS, so at QPROB_THREADS=4
     # it merges them from a worker pool.

@@ -18,7 +18,6 @@ from qprob.becsim import (
     group_noise_generator,
     hamiltonian,
     integrate_deterministic,
-    regime_classify,
 )
 
 
@@ -318,19 +317,21 @@ class TestCriticalAmplitude:
 
 class TestRegimeClassify:
     def test_subcritical_is_rabi(self):
-        assert regime_classify(0.25, -0.9, 0.0) is Regime.RABI
+        assert Regime.of(0.25, critical_amplitude(-0.9, 0.0)) is Regime.RABI
 
     def test_supercritical_is_josephson(self):
-        assert regime_classify(0.5, -0.9, 0.0) is Regime.JOSEPHSON
+        assert Regime.of(0.5, critical_amplitude(-0.9, 0.0)) is Regime.JOSEPHSON
 
     def test_exact_critical(self):
         bc = critical_amplitude(-0.9, 0.0)
-        assert regime_classify(bc, -0.9, 0.0) is Regime.CRITICAL
+        assert Regime.of(bc, bc) is Regime.CRITICAL
 
     def test_non_finite_is_not_critical(self):
         for b, s0 in ((math.nan, -0.9), (math.inf, -0.9), (0.25, math.nan)):
             with pytest.raises(ValueError, match="finite"):
-                regime_classify(b, s0, 0.0)
+                Regime.of(b, critical_amplitude(s0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            Regime.of(0.3, math.nan)
 
 
 class TestDeterministic:

@@ -147,6 +147,7 @@ class TestProspect:
         (["quarter-law", "--row", "1,1,1,1,1.5"], "lambda_plus must lie in [0, 1], got 1.5"),
         (["measure", "--state", "maxmix", "--dim", "0"], "dimension must be positive, got 0"),
         (["measure", "--state", "random", "--dim", "0"], "dimension must be positive, got 0"),
+        (["bec-sim", "--paths", "0", "--tmax", "0.01"], "need at least one path, got 0"),
     ],
 )
 def test_library_value_errors_exit_2_with_their_message(capsys, argv, message):
@@ -379,6 +380,22 @@ class TestBecSim:
         svg = (tmp_path / "run.svg").read_text()
         assert svg.startswith("<?xml")
         assert "<polyline" in svg and "Josephson" in svg
+
+    def test_plot_of_a_flat_curve(self, capsys, tmp_path):
+        # without noise every path is the noiseless curve, so q1 is 0 throughout
+        out_path = tmp_path / "run.csv"
+        code, _, err = run(
+            ["bec-sim", "--sigma", "0", "--tmax", "0.5", "--paths", "4", "--stride", "50",
+             "--out", str(out_path), "--plot"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert len(rows) == 11
+        assert all(float(row[5]) == 0.0 for row in rows)
+        svg = (tmp_path / "run.svg").read_text()
+        assert svg.rstrip().endswith("</svg>")
+        assert "nan" not in svg.lower()
 
     def test_plot_requires_out(self, capsys):
         code, _, err = run(["bec-sim", "--tmax", "0.5", "--paths", "4", "--plot"], capsys)
@@ -698,6 +715,7 @@ def test_flag_fuzz_exits_cleanly(command, data):
         (["prospect"], {"preset": 5}, "preset"),
         (["verify"], {"filter": 5}, "filter"),
         (["quarter-law"], {"rows": [5]}, "rows"),
+        (["verify"], {"seed": None}, "seed"),
     ],
 )
 def test_config_value_of_wrong_type_fails_validation(capsys, tmp_path, command, config, field):
@@ -797,6 +815,41 @@ def test_config_integer_beyond_float_range_fails_validation(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, env, files, message",
+    [
+        (["verify", "--filter", "events"], {"QPROB_THREADS": "abc"}, {}, "QPROB_THREADS must be an integer, got 'abc'"),
+        (["verify", "--filter", "events"], {"QPROB_THREADS": "0"}, {}, "QPROB_THREADS must be positive, got 0"),
+        (["verify", "--config", "c.json"], {}, {"c.json": "[1]"}, "config c.json must hold a JSON object"),
+        (["measure", "--state", "file:s.json"], {}, {"s.json": "[]"}, "state file s.json must hold a JSON object"),
+        (
+            ["measure", "--state", "file:s.json"], {}, {"s.json": '{"matrix_im": [[0]]}'},
+            "state file s.json lacks the 'matrix_re' field",
+        ),
+        (
+            ["measure", "--state", "file:s.json"], {}, {"s.json": '{"matrix_re": [[1, 0], [0, 0]], "matrix_im": [[0]]}'},
+            "state file s.json must hold square real/imaginary parts of equal shape",
+        ),
+        (["measure", "--state", "file:s.json"], {}, {"s.json": '{"matrix_re": [[NaN]]}'}, "matrix has non-finite entries"),
+        (
+            ["measure", "--state", "file:s.json"], {}, {"s.json": '{"matrix_re": [[0.5, 0, 0], [0, 0.5, 0]]}'},
+            "expected a square matrix, got (2, 3)",
+        ),
+    ],
+    ids=["threads-text", "threads-zero", "config-array", "state-array", "no-matrix-re", "unequal-parts",
+         "nan-entry", "not-square"],
+)
+def test_refused_environment_or_file_exits_2(capsys, monkeypatch, tmp_path, argv, env, files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestVerify:
     def test_filter_runs_subset(self, capsys):
         code, out, _ = run(["verify", "--filter", "quarterlaw", "--seed", "3"], capsys)
@@ -820,7 +873,7 @@ class TestVerify:
         code, out1, _ = run(["verify", "--filter", "events", "--out", str(report_path)], capsys)
         assert code == 0
         first = report_path.read_bytes()
-        assert json.loads(first)["config"]["seed"] == 123
+        assert json.loads(first)["config"]["seed"] == 0
         monkeypatch.setenv("QPROB_THREADS", "3")
         code, out2, _ = run(["verify", "--filter", "events", "--out", str(report_path)], capsys)
         assert code == 0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qprob import prospects
 from qprob.events import DensityOperator, Observable, event_probability, union_probability
-from qprob.linalg import OutcomeIndexError, kron, outer, trace
+from qprob.linalg import MAX_EIGEN_DIM, OutcomeIndexError, kron, outer, trace
 from qprob.prospects import (
     CompositeState,
     DegenerateProspectError,
@@ -410,6 +411,15 @@ class TestStateBuilders:
     def test_max_entangled_rejects_small(self):
         with pytest.raises(ValueError):
             max_entangled_state(1)
+
+    def test_product_refuses_an_oversized_dimension_before_kron(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dimension cap must stop product_state before kron")
+
+        monkeypatch.setattr(prospects, "kron", unreachable)
+        rho = DensityOperator.maximally_mixed(9)
+        with pytest.raises(ValueError, match=f"dimension 81 exceeds supported maximum {MAX_EIGEN_DIM}"):
+            product_state(rho, rho)
 
 
 def test_composite_in_eigenbasis_round_trip():

@@ -9,6 +9,7 @@ matched in the syntax tree, as ``Name`` and ``Attribute`` nodes, so that
 """
 
 import ast
+import re
 from pathlib import Path
 
 import qprob
@@ -63,3 +64,11 @@ def test_every_export_has_a_caller():
 def test_every_allowed_exception_is_exported_and_still_uncalled():
     stale = {name for name in NO_CALLER_YET if name not in qprob.__all__ or name in _read_names()}
     assert sorted(stale) == []
+
+
+def test_every_environment_variable_is_documented():
+    # README's "Environment:" paragraph names every QPROB_* variable the package reads, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = next(block for block in readme.split("\n\n") if block.startswith("Environment:"))
+    in_source = {name for path in SRC.glob("*.py") for name in re.findall(r"QPROB_[A-Z_]+", path.read_text())}
+    assert in_source == set(re.findall(r"QPROB_[A-Z_]+", paragraph))
