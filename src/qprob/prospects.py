@@ -67,7 +67,6 @@ class ProspectResult:
     p: np.ndarray
     f: np.ndarray
     q: np.ndarray
-    mode: Literal["raw", "normalized"]
 
 
 def standard_union_probability(state: CompositeState, n: int, alphas: Iterable[int]) -> float:
@@ -137,7 +136,7 @@ def prospect_probabilities(
     p = np.array([clamp_probability(v) for v in p.tolist()])
     f = np.array([clamp_probability(v) for v in f.tolist()])
     if mode == "raw":
-        return ProspectResult(p=p, f=f, q=q, mode="raw")
+        return ProspectResult(p=p, f=f, q=q)
     sum_p = float(p.sum())
     sum_f = float(f.sum())
     if sum_p < 1e-12 or sum_f < 1e-12:
@@ -146,7 +145,7 @@ def prospect_probabilities(
         )
     p = p / sum_p
     f = f / sum_f
-    return ProspectResult(p=p, f=f, q=p - f, mode="normalized")
+    return ProspectResult(p=p, f=f, q=p - f)
 
 
 def product_state(rho_a: DensityOperator, rho_b: DensityOperator) -> CompositeState:

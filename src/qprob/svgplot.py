@@ -27,7 +27,11 @@ def line_plot(xs, ys, *, title: str, x_label: str, y_label: str) -> str:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
         raise ValueError("line_plot needs two 1-d arrays of equal length >= 2")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("line_plot needs finite values")
     x_lo, x_hi = float(xs.min()), float(xs.max())
+    if not 0.0 < x_hi - x_lo < np.inf:
+        raise ValueError(f"line_plot needs a finite, nonzero x range, got [{x_lo!r}, {x_hi!r}]")
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if y_hi == y_lo:
         y_lo -= 0.5
@@ -35,6 +39,8 @@ def line_plot(xs, ys, *, title: str, x_label: str, y_label: str) -> str:
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not y_hi - y_lo < np.inf:
+        raise ValueError(f"line_plot needs a finite y range, got [{float(ys.min())!r}, {float(ys.max())!r}]")
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

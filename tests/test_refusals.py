@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qprob import becsim, verify
+from qprob import becsim, svgplot, verify
 from qprob.events import DensityOperator, Observable
 from qprob.linalg import DEFAULT_TOL, SpectralDecomposition
 from qprob.prospects import (
@@ -17,6 +17,10 @@ from qprob.prospects import (
 from qprob.uncertain import ModeWeights
 
 EQUAL = ModeWeights.normalized([1, 1])
+
+
+def _plot(xs, ys):
+    return svgplot.line_plot(xs, ys, title="t", x_label="x", y_label="y")
 
 
 @pytest.mark.parametrize(
@@ -40,9 +44,18 @@ EQUAL = ModeWeights.normalized([1, 1])
             f"eigenvectors are not orthonormal within {DEFAULT_TOL} (residual 1.000e+00)",
         ),
         (lambda: verify.run_checks(1, "nope"), f"unknown check group 'nope'; choose from {', '.join(verify.GROUPS)}"),
+        (lambda: _plot([0.0, 1.0], [0.0, np.nan]), "line_plot needs finite values"),
+        (lambda: _plot([0.0, np.inf], [0.0, 1.0]), "line_plot needs finite values"),
+        (lambda: _plot([1.0, 1.0], [0.0, 1.0]), "line_plot needs a finite, nonzero x range, got [1.0, 1.0]"),
+        (
+            lambda: _plot([-1e308, 1e308], [0.0, 1.0]),
+            "line_plot needs a finite, nonzero x range, got [-1e+308, 1e+308]",
+        ),
+        (lambda: _plot([0.0, 1.0], [-1.7e308, 0.0]), "line_plot needs a finite y range, got [-1.7e+308, 0.0]"),
     ],
     ids=["factor-zero", "factor-mismatch", "mode-pfq-shape", "unknown-mode", "bad-keep",
-         "observable-dims", "imbalance-above-one", "not-orthonormal", "unknown-group"],
+         "observable-dims", "imbalance-above-one", "not-orthonormal", "unknown-group",
+         "plot-nan-y", "plot-inf-x", "plot-constant-x", "plot-x-range-overflows", "plot-y-range-overflows"],
 )
 def test_refused_input_raises(call, message):
     with pytest.raises(ValueError) as info:
