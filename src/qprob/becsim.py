@@ -134,7 +134,7 @@ class BecParams:
     """Integration setup: dynamics, grid, ensemble size and seed.
 
     Times are dimensionless; the horizon is realized as round(t_max/dt)
-    steps of exactly dt, at most :data:`MAX_STEPS` of them, and at most
+    steps of exactly dt, at most :data:`MAX_STEPS` of them, and from 2 to
     :data:`MAX_PATHS` paths are run.
     """
 
@@ -168,10 +168,8 @@ class BecParams:
             raise ValueError(f"pumping amplitude must be nonnegative, got {self.b!r}")
         if self.sigma < 0.0:
             raise ValueError(f"noise strength must be nonnegative, got {self.sigma!r}")
-        if self.n_paths < 1:
-            raise ValueError(f"need at least one path, got {self.n_paths!r}")
-        if self.n_paths > MAX_PATHS:
-            raise ValueError(f"{self.n_paths!r} paths asked for; at most {MAX_PATHS} are allowed")
+        if not 2 <= self.n_paths <= MAX_PATHS:
+            raise ValueError(f"{self.n_paths!r} paths asked for; at least 2 and at most {MAX_PATHS} are allowed")
 
     @property
     def n_steps(self) -> int:
@@ -484,8 +482,6 @@ def ensemble_interference(params: BecParams, workers: int = 1) -> EnsembleResult
     independent of ``workers``; the pool never has more processes than
     chunks or usable CPUs.
     """
-    if params.n_paths < 2:
-        raise ValueError(f"ensemble needs at least two paths, got {params.n_paths}")
     n = params.n_paths
     s_det = integrate_deterministic(params).s
     if params.sigma == 0.0:

@@ -201,10 +201,9 @@ def dephase_modes(state: CompositeState) -> np.ndarray:
     :func:`mode_pfq` rather than rebuilding a state from it.
     """
     matrix = state.matrix.copy()
-    for n in range(state.dim_a):
-        lo, hi = n * state.dim_b, (n + 1) * state.dim_b
-        block = matrix[lo:hi, lo:hi]
-        matrix[lo:hi, lo:hi] = np.diag(block.diagonal())
+    view = matrix.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
+    i = np.arange(state.dim_a)
+    view[i, :, i, :] = np.where(np.eye(state.dim_b, dtype=bool), view[i, :, i, :], 0)
     return matrix
 
 

@@ -33,10 +33,7 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     vectors = parts[:, 0] + 1j * parts[:, 1]
     vectors /= np.array([np.linalg.norm(v) for v in vectors])[:, None]
     terms = weights[:, None, None] * (vectors[:, :, None] * vectors.conj()[:, None, :])
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    for term in terms:
-        matrix += term
-    return DensityOperator(matrix)
+    return DensityOperator(terms.sum(axis=0))
 
 
 def random_observable(rng: np.random.Generator, dim: int) -> Observable:

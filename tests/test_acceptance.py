@@ -1,10 +1,10 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Criteria 1-6, 7a and 8 are the checks of the invariant registry
-``qprob.verify.CHECKS``, run here on streams of their own; criteria 7b, 9
-and 10 are tested below.  Each criterion reports one summary line via the
-``acceptance`` fixture; the stochastic ensembles share module-scoped
-fixtures because they dominate the runtime.
+Every check of the invariant registry ``qprob.verify.CHECKS`` runs here on
+streams of its own: the numbered ones are criteria 1-6, 7a and 8, the
+others just assert.  Criteria 7b, 9 and 10 are tested below.  Each criterion
+reports one summary line via the ``acceptance`` fixture; the stochastic
+ensembles share module-scoped fixtures because they dominate the runtime.
 """
 
 import dataclasses
@@ -36,12 +36,16 @@ ENSEMBLE_SEED = 4
 #: Workers for the ensemble fixtures; the output is the same for any count.
 WORKERS = os.cpu_count() or 1
 
-_NUMBERED = [index for index, (_, criterion, *_) in enumerate(verify.CHECKS) if criterion is not None]
+
+def _check_id(criterion, check):
+    """``<criterion>-<check>`` for a numbered row, the bare check name otherwise."""
+    name = check.__name__.removeprefix("_check_")
+    return name if criterion is None else f"{criterion}-{name}"
 
 
 @pytest.fixture(scope="module")
 def shared_run():
-    """One run for every registered criterion, so 7a and 8 share their curves."""
+    """One run for every registered check, so the becsim rows share their curves."""
     return verify.Run()
 
 
@@ -121,8 +125,8 @@ def test_a_nan_fails_the_checks_it_reaches(monkeypatch):
 
 @pytest.mark.parametrize(
     "index",
-    _NUMBERED,
-    ids=[f"{verify.CHECKS[i][1]}-{verify.CHECKS[i][3].__name__.removeprefix('_check_')}" for i in _NUMBERED],
+    range(len(verify.CHECKS)),
+    ids=[_check_id(criterion, check) for _, criterion, _, check in verify.CHECKS],
 )
 def test_criterion(acceptance, shared_run, index):
     group, criterion, name, check = verify.CHECKS[index]
@@ -132,12 +136,12 @@ def test_criterion(acceptance, shared_run, index):
         check(np.random.default_rng([ACCEPTANCE_SEED, index, stream]), shared_run)
         for stream in range(streams)
     ]
-    acceptance(
-        criterion,
-        name,
-        all(passed for passed, _ in results),
-        f"{streams} stream(s): " + " | ".join(dict.fromkeys(detail for _, detail in results)),
-    )
+    passed = all(ok for ok, _ in results)
+    summary = f"{streams} stream(s): " + " | ".join(dict.fromkeys(detail for _, detail in results))
+    if criterion is None:
+        assert passed, f"{group}/{name} failed: {summary}"
+    else:
+        acceptance(criterion, name, passed, summary)
 
 
 def test_criterion_7b_integrator_order(acceptance):

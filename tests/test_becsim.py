@@ -397,7 +397,7 @@ class TestDeterministic:
 
 class TestStochastic:
     def test_zero_noise_path_is_the_deterministic_curve(self):
-        params = BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=20.0, n_paths=1)
+        params = BecParams(b=0.5, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=20.0, n_paths=2)
         assert np.array_equal(lane_s(params, 0), integrate_deterministic(params).s)
 
     @pytest.mark.parametrize("b", [0.25, 0.5])
@@ -520,7 +520,7 @@ class TestEnsemble:
         # 1500 paths span two chunks; f(t) is the noiseless curve, which is
         # also what the scheme of p(t) gives with the noise off
         params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=1500, seed=11)
-        quiet = BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=1, seed=11)
+        quiet = BecParams(b=0.25, sigma=0.0, s0=-0.9, x0=0.0, dt=1e-3, t_max=0.5, n_paths=2, seed=11)
         result = ensemble_interference(params, workers=workers)
         assert np.array_equal(result.f1, 0.5 * (1.0 - integrate_deterministic(quiet).s))
         assert np.array_equal(result.f1, 0.5 * (1.0 - lane_s(quiet, 0)))
@@ -589,6 +589,6 @@ class TestEnsemble:
         assert np.all(result.p1 == 0.75)
 
     def test_needs_two_paths(self):
-        params = BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, n_paths=1)
-        with pytest.raises(ValueError, match="two paths"):
-            ensemble_interference(params)
+        with pytest.raises(ValueError) as excinfo:
+            BecParams(b=0.25, sigma=0.1, s0=-0.9, x0=0.0, dt=1e-3, t_max=1.0, n_paths=1)
+        assert str(excinfo.value) == f"1 paths asked for; at least 2 and at most {becsim.MAX_PATHS} are allowed"

@@ -124,16 +124,6 @@ class TestEventProbability:
         rho = DensityOperator.pure([1.0, 1.0])
         assert event_probability(rho, Observable.standard(2), 0) == pytest.approx(0.5, abs=1e-15)
 
-    def test_probability_measure_over_random_pairs(self):
-        # 250 pairs per dimension: each family lies in [0, 1] and sums to one
-        for dim in (2, 3, 4, 8):
-            for _ in range(250):
-                rho = random_density(RNG, dim)
-                obs = random_observable(RNG, dim)
-                probs = [event_probability(rho, obs, n) for n in range(dim)]
-                assert all(0.0 <= p <= 1.0 for p in probs)
-                assert sum(probs) == pytest.approx(1.0, abs=1e-10)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             event_probability(DensityOperator.maximally_mixed(2), Observable.standard(3), 0)

@@ -231,18 +231,6 @@ class TestProspectProbabilities:
         with pytest.raises(ArithmeticError, match=r"^probability 1\.5 violates"):
             prospect_probabilities(bell_like_state(), ModeWeights.normalized([1.0, 1.0]))
 
-    def test_bell_like_frozen_values(self):
-        state = bell_like_state()
-        weights = ModeWeights.normalized([1.0, 1.0])
-        raw = prospect_probabilities(state, weights, mode="raw")
-        assert np.max(np.abs(raw.p - [0.5, 0.0])) < 1e-12
-        assert np.max(np.abs(raw.f - [0.25, 0.25])) < 1e-12
-        assert np.max(np.abs(raw.q - [0.25, -0.25])) < 1e-12
-        normalized = prospect_probabilities(state, weights, mode="normalized")
-        assert np.max(np.abs(normalized.p - [1.0, 0.0])) < 1e-12
-        assert np.max(np.abs(normalized.f - [0.5, 0.5])) < 1e-12
-        assert np.max(np.abs(normalized.q - [0.5, -0.5])) < 1e-12
-
     @pytest.mark.parametrize("dim_a,dim_b", [(1, 3), (2, 2), (3, 5), (4, 4), (8, 8)])
     def test_mode_pfq_matches_block_loop(self, dim_a, dim_b):
         for _ in range(10):
@@ -290,38 +278,6 @@ class TestProspectProbabilities:
                 assert np.max(np.abs(raw.p - raw.f - raw.q)) < 1e-15
                 norm = prospect_probabilities(state, weights, mode="normalized")
                 assert np.max(np.abs(norm.p - norm.f - norm.q)) < 1e-12
-
-    def test_normalized_measure_axioms(self):
-        for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
-            for _ in range(100):
-                state = random_entangled_pure(RNG, dim_a, dim_b)
-                res = prospect_probabilities(state, random_weights(RNG, dim_b), mode="normalized")
-                assert res.p.sum() == pytest.approx(1.0, abs=1e-10)
-                assert res.f.sum() == pytest.approx(1.0, abs=1e-10)
-                assert res.q.sum() == pytest.approx(0.0, abs=1e-10)
-                assert np.all((res.p >= 0.0) & (res.p <= 1.0))
-                assert np.all((res.f >= 0.0) & (res.f <= 1.0))
-                assert np.all(np.abs(res.q) <= 1.0)
-
-    def test_zero_interference_for_product_states(self):
-        # raw interference does not vanish for products; the normalized
-        # families carry the theorem, their sum rules forcing q to zero
-        for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
-            for _ in range(100):
-                state = product_state(random_density(RNG, dim_a), random_density(RNG, dim_b))
-                res = prospect_probabilities(state, random_weights(RNG, dim_b), mode="normalized")
-                assert np.max(np.abs(res.q)) < 1e-12
-
-    def test_zero_interference_for_max_entangled(self):
-        for m in range(2, 7):
-            state = max_entangled_state(m)
-            for _ in range(20):
-                res = prospect_probabilities(state, random_weights(RNG, m), mode="raw")
-                assert np.max(np.abs(res.q)) < 1e-12
-
-    def test_entangled_interference_witness(self):
-        res = prospect_probabilities(bell_like_state(), ModeWeights.normalized([1.0, 1.0]), mode="raw")
-        assert np.max(np.abs(res.q)) > 0.1
 
     def test_separable_mixed_state_interferes_like_the_bell_like_state(self):
         # 1/2 (|0><0| (x) |+><+| + |1><1| (x) |-><-|) is separable, yet with

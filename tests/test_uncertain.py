@@ -145,16 +145,6 @@ class TestUncertainProbability:
         rho = DensityOperator.pure(uncertain_state(union))
         assert uncertain_probability(rho, union).p == pytest.approx(1.0, abs=1e-12)
 
-    def test_agrees_with_trace_route(self):
-        # two independent paths: matrix elements vs trace against the operator
-        for dim in (2, 3, 4):
-            for _ in range(334):
-                rho = random_density(RNG, dim)
-                union = UncertainUnion(random_observable(RNG, dim), random_weights(RNG, dim))
-                direct = uncertain_probability(rho, union)
-                via_trace = trace(rho.matrix @ proposition_operator(union)).real
-                assert direct.p == pytest.approx(via_trace, abs=1e-12)
-
     def test_interference_matches_loop_oracle(self):
         for _ in range(50):
             rho = random_density(RNG, 4)
